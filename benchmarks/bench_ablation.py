@@ -31,9 +31,8 @@ import os
 import time
 
 from _common import RESULTS_DIR, write_bench_json
-from repro.harness.experiments import (REGISTRY, ablation_sweep_options,
-                                       current_ablation_options,
-                                       run_experiment)
+from repro.harness.experiments import (REGISTRY, run_experiment,
+                                       sweep_options)
 from repro.harness.parallel import run_context, shutdown_pool
 from repro.harness.workloads import Scale
 
@@ -66,8 +65,7 @@ def main() -> int:
     grids = ("loo", "only") if args.one_only else ("loo",)
 
     start = time.perf_counter()
-    with ablation_sweep_options(grids=grids):
-        opts = current_ablation_options()
+    with sweep_options("ablation-sweep", grids=grids) as opts:
         with run_context(jobs=args.jobs):
             report = run_experiment("ablation-sweep", scale)
     shutdown_pool()

@@ -34,7 +34,7 @@ import os
 import time
 
 from _common import RESULTS_DIR, write_bench_json
-from repro.harness.experiments import (REGISTRY, current_failure_options,
+from repro.harness.experiments import (REGISTRY, current_options,
                                        run_experiment)
 from repro.harness.parallel import run_context, shutdown_pool
 from repro.harness.workloads import Scale
@@ -70,7 +70,7 @@ def main() -> int:
                              "%(default)s)")
     args = parser.parse_args()
     scale = Scale(args.scale)
-    opts = current_failure_options()
+    opts = current_options("failure-sweep")
 
     start = time.perf_counter()
     with run_context(jobs=args.jobs):

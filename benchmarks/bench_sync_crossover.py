@@ -31,7 +31,7 @@ import os
 import time
 
 from _common import RESULTS_DIR, write_bench_json
-from repro.harness.experiments import (REGISTRY, current_sync_options,
+from repro.harness.experiments import (REGISTRY, current_options,
                                        run_experiment)
 from repro.harness.parallel import run_context, shutdown_pool
 from repro.harness.workloads import Scale
@@ -64,7 +64,7 @@ def main() -> int:
                              "ratio exceeds this (default: %(default)s)")
     args = parser.parse_args()
     scale = Scale(args.scale)
-    opts = current_sync_options()
+    opts = current_options("sync-sweep")
 
     start = time.perf_counter()
     with run_context(jobs=args.jobs):

@@ -61,9 +61,6 @@ class DsmConfig:
     barrier_local_cycles: int = 100
     eager_locks: Optional[frozenset] = None   # None, or lock ids; "all" ok
     barrier_manager_node: int = 0
-    #: False disables run-length diffs: faults transfer whole pages
-    #: (Ivy-style single-writer data movement; the A1 ablation).
-    use_diffs: bool = True
     #: Which lock/barrier algorithms implement acquire/release and
     #: barrier_arrive (see :mod:`repro.sync`); the default is the
     #: paper's token lock + centralized barrier.
@@ -383,7 +380,7 @@ class TreadMarksDsm:
             page_lo = page * page_bytes
             page_hi = page_lo + page_bytes
             overlap = min(addr + nbytes, page_hi) - max(addr, page_lo)
-            if self.config.use_diffs and self.ablate.diffs:
+            if self.ablate.diffs:
                 share = int(round(changed_bytes * overlap / nbytes))
             else:
                 share = page_bytes  # whole-page transfer on fault

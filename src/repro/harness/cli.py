@@ -43,11 +43,8 @@ from typing import List, Optional
 from repro import (ConfigurationError, ResultCache, Scale, run_context,
                    trace_session)
 from repro.harness.cache import default_cache_dir, default_ledger_path
-from repro.harness.experiments import (REGISTRY, ablation_sweep_options,
-                                       failure_sweep_options,
-                                       fault_sweep_options,
-                                       list_experiments, run_experiment,
-                                       sync_sweep_options)
+from repro.harness.experiments import (REGISTRY, list_experiments,
+                                       run_experiment, sweep_options)
 from repro.ledger import Ledger, ledger_session
 from repro.net.faults import parse_crashes, parse_schedule
 from repro.trace import write_chrome_trace, write_metrics_jsonl
@@ -74,56 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write one metrics JSON line per "
                              "machine run (machine, app, cycles, "
                              "counters)")
-    runner.add_argument("--loss-rate", type=float, action="append",
-                        dest="loss_rates", metavar="P", default=None,
-                        help="fault-sweep: per-message drop probability "
-                             "(repeatable; overrides the default rate "
-                             "grid)")
-    runner.add_argument("--fault-seed", type=int, default=None,
-                        metavar="N",
-                        help="fault-sweep: seed of the deterministic "
-                             "fault plane (default: 42)")
-    runner.add_argument("--fault-schedule", default=None, metavar="SPEC",
-                        help="fault-sweep: targeted fault rules, e.g. "
-                             "'drop:diff_request:src=2:nth=3; "
-                             "dup:lock_grant'")
-    runner.add_argument("--crash", default=None, metavar="SPEC",
-                        help="failure-sweep: explicit crash-stop "
-                             "events, e.g. 'crash@node3:t=500000; "
-                             "crash@node1:t=2000000:rejoin=9000000' "
-                             "(overrides the --crash-frac grid)")
-    runner.add_argument("--crash-frac", type=float, action="append",
-                        dest="crash_fracs", metavar="F", default=None,
-                        help="failure-sweep: crash the last node at "
-                             "fraction F of the clean run (repeatable; "
-                             "default: 0.25 and 0.5)")
-    runner.add_argument("--detect-cycles", type=int, default=None,
-                        metavar="N",
-                        help="failure-sweep: keepalive backstop — a "
-                             "crashed node is declared dead within N "
-                             "cycles even without retransmission "
-                             "traffic (default: 1000000)")
-    runner.add_argument("--sync-lock", action="append",
-                        dest="sync_locks", metavar="ALG", default=None,
-                        help="sync-sweep: lock algorithm to include "
-                             "(repeatable; token/mcs/ticket/combining; "
-                             "default: all)")
-    runner.add_argument("--sync-barrier", action="append",
-                        dest="sync_barriers", metavar="ALG", default=None,
-                        help="sync-sweep: barrier algorithm to include "
-                             "(repeatable; central/tree/combining; "
-                             "default: all)")
-    runner.add_argument("--sync-workload", action="append",
-                        dest="sync_workloads", metavar="NAME",
-                        default=None,
-                        help="sync-sweep: workload to include "
-                             "(repeatable; default: tsp18 and mwater)")
-    runner.add_argument("--sync-machine", action="append",
-                        dest="sync_machines", metavar="NAME",
-                        default=None,
-                        help="sync-sweep: machine to include "
-                             "(repeatable; default: as, ah, hs)")
-    _add_ablation_options(runner)
+    _add_sweep_flags(runner, *_SWEEP_FLAGS)
     _add_exec_options(runner)
     runner.set_defaults(func=cmd_run)
 
@@ -224,37 +172,23 @@ def build_parser() -> argparse.ArgumentParser:
     ablater.add_argument("--scale", choices=[s.value for s in Scale],
                          default=Scale.TEST.value,
                          help="problem-size scale (default: test)")
-    _add_ablation_options(ablater)
+    _add_sweep_flags(ablater, "ablation-sweep")
     _add_exec_options(ablater)
-    ablater.set_defaults(func=cmd_ablate)
+    # `ablate` is `run ablation-sweep`, defaulting to test scale.
+    ablater.set_defaults(func=cmd_run, ids=["ablation-sweep"],
+                         metrics_out=None)
     return parser
 
 
-def _add_ablation_options(sub: argparse.ArgumentParser) -> None:
-    """--ablate-* grid options, shared by `run` and `ablate`."""
-    sub.add_argument("--ablate-mechanism", action="append",
-                     dest="ablate_mechanisms", metavar="NAME",
-                     default=None,
-                     help="ablation-sweep: mechanism to sweep "
-                          "(repeatable; twins/diffs/lazy_fetch/"
-                          "lazy_release/piggyback/diff_merge/backoff; "
-                          "default: all seven)")
-    sub.add_argument("--ablate-workload", action="append",
-                     dest="ablate_workloads", metavar="NAME",
-                     default=None,
-                     help="ablation-sweep: workload to include "
-                          "(repeatable; default: sor_sim, tsp19, "
-                          "mwater)")
-    sub.add_argument("--ablate-machine", action="append",
-                     dest="ablate_machines", metavar="NAME",
-                     default=None,
-                     help="ablation-sweep: software machine to include "
-                          "(repeatable; default: as and hs)")
-    sub.add_argument("--ablate-grid", action="append",
-                     dest="ablate_grids", metavar="GRID", default=None,
-                     help="ablation-sweep: spec grid — 'loo' (leave "
-                          "one out) and/or 'only' (one mechanism "
-                          "kept); repeatable; default: loo")
+def _add_sweep_flags(sub: argparse.ArgumentParser, *exp_ids: str) -> None:
+    """Declare the ``_SWEEP_FLAGS`` of ``exp_ids`` on ``sub``."""
+    for exp_id in exp_ids:
+        for flag, _field, kind, convert, metavar, text in \
+                _SWEEP_FLAGS[exp_id]:
+            sub.add_argument(
+                flag, type=kind, metavar=metavar, default=None,
+                action="append" if convert is tuple else "store",
+                help=f"{exp_id}: {text}")
 
 
 def _add_exec_options(sub: argparse.ArgumentParser) -> None:
@@ -321,76 +255,80 @@ def _resolve_ids(ids: List[str]) -> Optional[List[str]]:
     return ids
 
 
-def _fault_overrides(args: argparse.Namespace, ids: List[str]):
-    """Build fault_sweep_options kwargs from CLI flags (or None)."""
-    overrides = {}
-    if args.loss_rates is not None:
-        overrides["loss_rates"] = tuple(args.loss_rates)
-    if args.fault_seed is not None:
-        overrides["seed"] = args.fault_seed
-    if args.fault_schedule is not None:
-        overrides["schedule"] = parse_schedule(args.fault_schedule)
-    if overrides and "fault-sweep" not in ids:
-        raise ConfigurationError(
-            "--loss-rate/--fault-seed/--fault-schedule parameterize the "
-            "'fault-sweep' experiment, which is not among the ids to "
-            "run")
-    return overrides or None
+#: exp_id -> ((flag, options field, argparse type, converter, metavar,
+#: help), ...): the one declaration of the sweep flags — the parsers
+#: and the ``sweep_options`` overrides are both derived from it.  A
+#: ``tuple`` converter marks a repeatable flag.
+_SWEEP_FLAGS = {
+    "fault-sweep": (
+        ("--loss-rate", "loss_rates", float, tuple, "P",
+         "per-message drop probability (repeatable; overrides the "
+         "default rate grid)"),
+        ("--fault-seed", "seed", int, int, "N",
+         "seed of the deterministic fault plane (default: 42)"),
+        ("--fault-schedule", "schedule", str, parse_schedule, "SPEC",
+         "targeted fault rules, e.g. 'drop:diff_request:src=2:nth=3; "
+         "dup:lock_grant'")),
+    "failure-sweep": (
+        ("--crash", "crashes", str, parse_crashes, "SPEC",
+         "explicit crash-stop events, e.g. 'crash@node3:t=500000; "
+         "crash@node1:t=2000000:rejoin=9000000' (overrides the "
+         "--crash-frac grid)"),
+        ("--crash-frac", "fracs", float, tuple, "F",
+         "crash the last node at fraction F of the clean run "
+         "(repeatable; default: 0.25 and 0.5)"),
+        ("--detect-cycles", "detect_cycles", int, int, "N",
+         "keepalive backstop — a crashed node is declared dead within "
+         "N cycles even without retransmission traffic (default: "
+         "1000000)")),
+    "sync-sweep": (
+        ("--sync-lock", "locks", str, tuple, "ALG",
+         "lock algorithm to include (repeatable; "
+         "token/mcs/ticket/combining; default: all)"),
+        ("--sync-barrier", "barriers", str, tuple, "ALG",
+         "barrier algorithm to include (repeatable; "
+         "central/tree/combining; default: all)"),
+        ("--sync-workload", "workloads", str, tuple, "NAME",
+         "workload to include (repeatable; default: tsp18 and mwater)"),
+        ("--sync-machine", "machines", str, tuple, "NAME",
+         "machine to include (repeatable; default: as, ah, hs)")),
+    "ablation-sweep": (
+        ("--ablate-mechanism", "mechanisms", str, tuple, "NAME",
+         "mechanism to sweep (repeatable; twins/diffs/lazy_fetch/"
+         "lazy_release/piggyback/diff_merge/backoff; default: all "
+         "seven)"),
+        ("--ablate-workload", "workloads", str, tuple, "NAME",
+         "workload to include (repeatable; default: sor_sim, tsp19, "
+         "mwater)"),
+        ("--ablate-machine", "machines", str, tuple, "NAME",
+         "software machine to include (repeatable; default: as and hs)"),
+        ("--ablate-grid", "grids", str, tuple, "GRID",
+         "spec grid — 'loo' (leave one out) and/or 'only' (one "
+         "mechanism kept); repeatable; default: loo")),
+}
 
 
-def _failure_overrides(args: argparse.Namespace, ids: List[str]):
-    """Build failure_sweep_options kwargs from CLI flags (or None)."""
-    overrides = {}
-    if args.crash is not None:
-        overrides["crashes"] = parse_crashes(args.crash)
-    if args.crash_fracs is not None:
-        overrides["fracs"] = tuple(args.crash_fracs)
-    if args.detect_cycles is not None:
-        overrides["detect_cycles"] = args.detect_cycles
-    if overrides and "failure-sweep" not in ids:
-        raise ConfigurationError(
-            "--crash/--crash-frac/--detect-cycles parameterize the "
-            "'failure-sweep' experiment, which is not among the ids "
-            "to run")
-    return overrides or None
+def _sweep_overrides(args: argparse.Namespace, ids: List[str]):
+    """``{exp_id: sweep_options kwargs}`` for the sweep flags given.
 
-
-def _sync_overrides(args: argparse.Namespace, ids: List[str]):
-    """Build sync_sweep_options kwargs from CLI flags (or None)."""
-    overrides = {}
-    if args.sync_locks is not None:
-        overrides["locks"] = tuple(args.sync_locks)
-    if args.sync_barriers is not None:
-        overrides["barriers"] = tuple(args.sync_barriers)
-    if args.sync_workloads is not None:
-        overrides["workloads"] = tuple(args.sync_workloads)
-    if args.sync_machines is not None:
-        overrides["machines"] = tuple(args.sync_machines)
-    if overrides and "sync-sweep" not in ids:
-        raise ConfigurationError(
-            "--sync-lock/--sync-barrier/--sync-workload/--sync-machine "
-            "parameterize the 'sync-sweep' experiment, which is not "
-            "among the ids to run")
-    return overrides or None
-
-
-def _ablation_overrides(args: argparse.Namespace, ids: List[str]):
-    """Build ablation_sweep_options kwargs from CLI flags (or None)."""
-    overrides = {}
-    if args.ablate_mechanisms is not None:
-        overrides["mechanisms"] = tuple(args.ablate_mechanisms)
-    if args.ablate_workloads is not None:
-        overrides["workloads"] = tuple(args.ablate_workloads)
-    if args.ablate_machines is not None:
-        overrides["machines"] = tuple(args.ablate_machines)
-    if args.ablate_grids is not None:
-        overrides["grids"] = tuple(args.ablate_grids)
-    if overrides and "ablation-sweep" not in ids:
-        raise ConfigurationError(
-            "--ablate-mechanism/--ablate-workload/--ablate-machine/"
-            "--ablate-grid parameterize the 'ablation-sweep' "
-            "experiment, which is not among the ids to run")
-    return overrides or None
+    A flag left unset overrides nothing; a flag whose experiment is
+    not among ``ids`` is a usage error.
+    """
+    found = {}
+    for exp_id, flags in _SWEEP_FLAGS.items():
+        overrides = {}
+        for flag, field, _kind, convert, _metavar, _help in flags:
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None:
+                overrides[field] = convert(value)
+        if overrides and exp_id not in ids:
+            raise ConfigurationError(
+                f"{'/'.join(entry[0] for entry in flags)} parameterize "
+                f"the '{exp_id}' experiment, which is not among the ids "
+                f"to run")
+        if overrides:
+            found[exp_id] = overrides
+    return found
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -398,16 +336,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     ids = _resolve_ids(args.ids)
     if ids is None:
         return 2
-    try:
-        fault_overrides = _fault_overrides(args, ids)
-        failure_overrides = _failure_overrides(args, ids)
-        sync_overrides = _sync_overrides(args, ids)
-        ablation_overrides = _ablation_overrides(args, ids)
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    cache = _make_cache(args)
-    ledger = _make_ledger(args)
 
     def run_all() -> None:
         for exp_id in ids:
@@ -420,18 +348,20 @@ def cmd_run(args: argparse.Namespace) -> int:
                   f"expected shape: {REGISTRY[exp_id].shape_note}]")
             print()
 
-    fault_ctx = (fault_sweep_options(**fault_overrides)
-                 if fault_overrides else contextlib.nullcontext())
-    failure_ctx = (failure_sweep_options(**failure_overrides)
-                   if failure_overrides else contextlib.nullcontext())
-    sync_ctx = (sync_sweep_options(**sync_overrides)
-                if sync_overrides else contextlib.nullcontext())
-    ablation_ctx = (ablation_sweep_options(**ablation_overrides)
-                    if ablation_overrides else contextlib.nullcontext())
-    with fault_ctx, failure_ctx, sync_ctx, ablation_ctx, \
-            ledger_session(ledger), \
-            run_context(jobs=args.jobs, cache=cache, ledger=ledger,
-                        quiet=args.quiet):
+    with contextlib.ExitStack() as scopes:
+        try:
+            # Sweep scopes first: they validate the flag values, and a
+            # usage error must not leave a ledger session behind.
+            for exp_id, kwargs in _sweep_overrides(args, ids).items():
+                scopes.enter_context(sweep_options(exp_id, **kwargs))
+        except ConfigurationError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        cache = _make_cache(args)
+        ledger = _make_ledger(args)
+        scopes.enter_context(ledger_session(ledger))
+        scopes.enter_context(run_context(jobs=args.jobs, cache=cache,
+                                         ledger=ledger, quiet=args.quiet))
         if args.metrics_out:
             # Metrics-only session: collects every run with zero
             # per-event overhead (no tracers are created).
@@ -569,30 +499,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     for outcome in report.failures:
         print(f"  - {outcome.reason}")
     return 0 if report.ok else 1
-
-
-def cmd_ablate(args: argparse.Namespace) -> int:
-    scale = Scale(args.scale)
-    try:
-        overrides = _ablation_overrides(args, ["ablation-sweep"])
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    cache = _make_cache(args)
-    ledger = _make_ledger(args)
-    ablation_ctx = (ablation_sweep_options(**overrides)
-                    if overrides else contextlib.nullcontext())
-    with ablation_ctx, ledger_session(ledger), \
-            run_context(jobs=args.jobs, cache=cache, ledger=ledger,
-                        quiet=args.quiet):
-        start = time.time()
-        report = run_experiment("ablation-sweep", scale)
-        elapsed = time.time() - start
-    print(report.text())
-    print(f"   [ablation-sweep at scale={scale.value} in "
-          f"{elapsed:.1f}s]")
-    _report_cache(cache, ledger)
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -553,14 +553,14 @@ def run_a1(scale: Scale) -> Report:
     rows = []
     data = {}
     for workload in ("sor_small", "mwater"):
-        for use_diffs in (True, False):
-            machine = DecTreadMarksMachine(use_diffs=use_diffs)
+        for diffs in (True, False):
+            machine = DecTreadMarksMachine(ablate=AblationSpec(diffs=diffs))
             app = make_app(workload, scale)
             series = speedup_series(machine, app, (1, 8))
             p8 = series.at(8)
             rows.append([app.name, machine.name, series.speedups()[8],
                          p8.counters.total_bytes // 1024])
-            data[(workload, use_diffs)] = {
+            data[(workload, diffs)] = {
                 "speedup": series.speedups()[8],
                 "bytes": p8.counters.total_bytes,
             }
@@ -633,7 +633,7 @@ def run_a3(scale: Scale) -> Report:
 # ======================================================================
 
 #: Loss rates swept by ``fault-sweep`` unless overridden via
-#: :func:`fault_sweep_options` (the CLI's ``--loss-rate`` flags).
+#: :func:`sweep_options` (the CLI's ``--loss-rate`` flags).
 DEFAULT_LOSS_RATES: Tuple[float, ...] = (0.0, 0.005, 0.02, 0.05)
 
 #: One bandwidth-bound, one sync-light, one lock-heavy workload — the
@@ -654,30 +654,12 @@ class FaultSweepOptions:
                          schedule=self.schedule)
 
 
-_fault_options: List[FaultSweepOptions] = []
-
-
-@contextmanager
-def fault_sweep_options(**kwargs):
-    """Ambient overrides for ``fault-sweep`` (mirrors ``run_context``)."""
-    opts = FaultSweepOptions(**kwargs)
-    _fault_options.append(opts)
-    try:
-        yield opts
-    finally:
-        _fault_options.pop()
-
-
-def current_fault_options() -> FaultSweepOptions:
-    return _fault_options[-1] if _fault_options else FaultSweepOptions()
-
-
 @_register("fault-sweep", "Speedup vs. network loss rate (TreadMarks)",
            "robustness",
            "Speedup decays monotonically as loss rises; retransmission "
            "and duplicate counters grow from zero; no run hangs.")
 def run_fault_sweep(scale: Scale) -> Report:
-    opts = current_fault_options()
+    opts = current_options("fault-sweep")
     procs = max(EXPERIMENTAL_PROCS)
     # One plan for the (workload x loss-rate) grid.  The rate-0 plan is
     # *disabled*, so its machine fingerprints — and cache entries —
@@ -757,24 +739,6 @@ class FailureSweepOptions:
     detect_cycles: int = 1_000_000
 
 
-_failure_options: List[FailureSweepOptions] = []
-
-
-@contextmanager
-def failure_sweep_options(**kwargs):
-    """Ambient overrides for ``failure-sweep`` (mirrors ``run_context``)."""
-    opts = FailureSweepOptions(**kwargs)
-    _failure_options.append(opts)
-    try:
-        yield opts
-    finally:
-        _failure_options.pop()
-
-
-def current_failure_options() -> FailureSweepOptions:
-    return _failure_options[-1] if _failure_options else FailureSweepOptions()
-
-
 def _sweep_num_nodes(mname: str, machine, procs: int) -> int:
     """DSM node count of a sweep cell (crash targets are *nodes*)."""
     if mname == "hs":
@@ -792,7 +756,7 @@ def _sweep_num_nodes(mname: str, machine, procs: int) -> int:
            "recovery counters (pages rehomed/lost, locks regenerated, "
            "barrier reconfigs) come out non-zero.")
 def run_failure_sweep(scale: Scale) -> Report:
-    opts = current_failure_options()
+    opts = current_options("failure-sweep")
     procs = max(SIMULATED_PROCS[scale])
 
     # Phase 1: the clean cells.  These coincide (fingerprints and all)
@@ -885,8 +849,9 @@ def run_failure_sweep(scale: Scale) -> Report:
 SYNC_SWEEP_WORKLOADS: Tuple[str, ...] = ("tsp18", "mwater")
 
 #: The three simulated large-scale architectures; the experimental
-#: machines can be swept too (``sync_sweep_options(machines=...)``)
-#: but cap at 8 processors where the policies barely separate.
+#: machines can be swept too (``sweep_options("sync-sweep",
+#: machines=...)``) but cap at 8 processors where the policies barely
+#: separate.
 SYNC_SWEEP_MACHINES: Tuple[str, ...] = ("as", "ah", "hs")
 
 
@@ -904,24 +869,6 @@ class SyncSweepOptions:
                 for lk in self.locks for bar in self.barriers]
 
 
-_sync_options: List[SyncSweepOptions] = []
-
-
-@contextmanager
-def sync_sweep_options(**kwargs):
-    """Ambient overrides for ``sync-sweep`` (mirrors ``run_context``)."""
-    opts = SyncSweepOptions(**kwargs)
-    _sync_options.append(opts)
-    try:
-        yield opts
-    finally:
-        _sync_options.pop()
-
-
-def current_sync_options() -> SyncSweepOptions:
-    return _sync_options[-1] if _sync_options else SyncSweepOptions()
-
-
 @_register("sync-sweep",
            "Speedup across the lock x barrier design space",
            "DESIGN.md §sync",
@@ -930,7 +877,7 @@ def current_sync_options() -> SyncSweepOptions:
            "serialization is the bottleneck they remove); lock choice "
            "barely moves DSM apps.  AH is nearly flat across policies.")
 def run_sync_sweep(scale: Scale) -> Report:
-    opts = current_sync_options()
+    opts = current_options("sync-sweep")
     procs = tuple(SIMULATED_PROCS[scale])
     top = max(procs)
     policies = opts.policies()
@@ -1062,25 +1009,6 @@ class AblationSweepOptions:
         return [(m, AblationSpec.only(m)) for m in self.mechanisms]
 
 
-_ablation_options: List[AblationSweepOptions] = []
-
-
-@contextmanager
-def ablation_sweep_options(**kwargs):
-    """Ambient overrides for ``ablation-sweep`` (mirrors ``run_context``)."""
-    opts = AblationSweepOptions(**kwargs)
-    _ablation_options.append(opts)
-    try:
-        yield opts
-    finally:
-        _ablation_options.pop()
-
-
-def current_ablation_options() -> AblationSweepOptions:
-    return _ablation_options[-1] if _ablation_options else \
-        AblationSweepOptions()
-
-
 @_register("ablation-sweep",
            "Per-mechanism importance over the DSM protocol",
            "DESIGN.md §8",
@@ -1090,7 +1018,7 @@ def current_ablation_options() -> AblationSweepOptions:
            "(Water); piggybacking saves a message per sync pair; "
            "backoff only separates under loss.")
 def run_ablation_sweep(scale: Scale) -> Report:
-    opts = current_ablation_options()
+    opts = current_options("ablation-sweep")
     top = max(SIMULATED_PROCS[scale])
 
     # One plan for the whole grid.  Each (machine, workload) gets a
@@ -1184,6 +1112,49 @@ def run_ablation_sweep(scale: Scale) -> Report:
                    "grids": list(opts.grids),
                    "mechanisms": list(opts.mechanisms)}
     return report
+
+
+# ======================================================================
+# Sweep options: one ambient override mechanism for the four sweeps
+# ======================================================================
+
+#: The experiments that take parameters, and the frozen dataclass that
+#: validates and expands them (``plan()`` / ``policies()`` / ``specs()``).
+SWEEP_OPTIONS: Dict[str, type] = {
+    "fault-sweep": FaultSweepOptions,
+    "failure-sweep": FailureSweepOptions,
+    "sync-sweep": SyncSweepOptions,
+    "ablation-sweep": AblationSweepOptions,
+}
+
+_option_scopes: List[Tuple[str, object]] = []
+
+
+@contextmanager
+def sweep_options(exp_id: str, **overrides):
+    """Ambient overrides for one sweep experiment (mirrors ``run_context``).
+
+    ``overrides`` are fields of ``SWEEP_OPTIONS[exp_id]``; scopes nest,
+    innermost wins, and scopes for different experiments are independent.
+    """
+    if exp_id not in SWEEP_OPTIONS:
+        raise ConfigurationError(
+            f"'{exp_id}' takes no sweep options; choose from "
+            f"{sorted(SWEEP_OPTIONS)}")
+    opts = SWEEP_OPTIONS[exp_id](**overrides)
+    _option_scopes.append((exp_id, opts))
+    try:
+        yield opts
+    finally:
+        _option_scopes.pop()
+
+
+def current_options(exp_id: str):
+    """The innermost :func:`sweep_options` for ``exp_id``, or its defaults."""
+    for scoped_id, opts in reversed(_option_scopes):
+        if scoped_id == exp_id:
+            return opts
+    return SWEEP_OPTIONS[exp_id]()
 
 
 def run_experiment(exp_id: str, scale: Scale = Scale.BENCH) -> Report:

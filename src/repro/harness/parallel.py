@@ -12,7 +12,7 @@ number:
 * **dedup** — specs with the same content address
   (:func:`~repro.harness.cache.run_key`) execute once per plan; this
   is how a speedup series reuses its 1-processor baseline, and how
-  software-DSM variants (user/kernel-level, lazy/eager, diff/nodiff)
+  software-DSM variants (user/kernel-level, lazy/eager, any ablation)
   share one baseline run between *machines*;
 * **cache** — a :class:`~repro.harness.cache.ResultCache` skips
   already-simulated points across invocations.
@@ -547,7 +547,10 @@ def execute_plan(plan: RunPlan, *, jobs: Optional[int] = None,
     if cache is None:
         cache = context.cache
     if ledger is None:
-        ledger = context.ledger or active_ledger()
+        # ``is not None``, not truthiness: an empty Ledger has length 0
+        # (and ``len`` re-reads the whole file).
+        ledger = (context.ledger if context.ledger is not None
+                  else active_ledger())
     if quiet is None:
         quiet = context.quiet
     plan_start = time.perf_counter()

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional
 
 from repro.errors import ConfigurationError, ProtocolError
+from repro.net.crossbar import CombiningStage
 from repro.sim.engine import Engine
 from repro.sim.resource import Resource
 
@@ -395,3 +396,35 @@ def make_hw_barrier(algorithm: str, engine: Engine, num_procs: int, *,
     if algorithm == "tree":
         return impl(engine, num_procs, tree_radix=tree_radix, **kwargs)
     return impl(engine, num_procs, **kwargs)
+
+
+def make_hw_sync(policy, engine: Engine, num_procs: int, params, counters,
+                 *, serializer: Resource, combine_cycles: int):
+    """``(locks, barrier)`` implementing ``policy`` on a hardware machine.
+
+    ``params`` supplies the machine's ``lock_*_cycles`` /
+    ``barrier_*_cycles``; sync operations serialize at ``serializer``
+    (the bus, or the crossbar's sync home port).  A combining policy
+    puts a :class:`~repro.net.crossbar.CombiningStage` in front of it:
+    operations arriving within one service window merge, and a merged
+    operation costs ``combine_cycles``.
+    """
+    stage = None
+    if "combining" in (policy.lock, policy.barrier):
+        stage = CombiningStage(
+            counters, resource=serializer,
+            window_cycles=params.barrier_arrive_cycles,
+            combine_cycles=max(1, combine_cycles))
+    locks = make_hw_locks(
+        policy.lock, engine,
+        acquire_cycles=params.lock_acquire_cycles,
+        release_cycles=params.lock_release_cycles,
+        handoff_cycles=params.lock_handoff_cycles,
+        serializer=serializer, stage=stage)
+    barrier = make_hw_barrier(
+        policy.barrier, engine, num_procs,
+        arrive_cycles=params.barrier_arrive_cycles,
+        depart_cycles=params.barrier_depart_cycles,
+        serializer=serializer, stage=stage,
+        tree_radix=policy.tree_radix)
+    return locks, barrier

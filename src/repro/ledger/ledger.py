@@ -197,9 +197,7 @@ def run_record(*, run_id: str, key: str, attempt: int,
         "path": path,
         "executor": executor,
     }
-    faults = getattr(machine, "faults", None)
-    record["faults"] = (fingerprint_value(faults)
-                        if faults is not None and faults.enabled else None)
+    record["faults"] = fingerprint_value(machine.variants().get("faults"))
     check_cfg = active_check_config()
     record["check"] = check_cfg.label() if check_cfg is not None else None
     if produced_by is not None:

@@ -55,9 +55,6 @@ def machine_names() -> Tuple[str, ...]:
 
 def make_machine(name: str, nprocs: Optional[int] = None, *,
                  params: Union[None, Any, Dict[str, Any]] = None,
-                 faults: Optional[Any] = None,
-                 sync: Optional[Any] = None,
-                 ablate: Optional[Any] = None,
                  **kwargs: Any) -> Machine:
     """Build a machine by name — the stable construction entry point.
 
@@ -68,7 +65,9 @@ def make_machine(name: str, nprocs: Optional[int] = None, *,
     applied to the defaults (``{"page_bytes": 8192}``).  ``nprocs``
     is optional and purely a validation convenience: when given, the
     factory rejects a count the machine cannot run rather than
-    letting :meth:`Machine.run` fail later.  ``faults`` takes a
+    letting :meth:`Machine.run` fail later.  The remaining keyword
+    arguments go to the constructor, which parses the variant axes of
+    :class:`~repro.machines.base.Machine` itself: ``faults`` takes a
     :class:`~repro.net.faults.FaultPlan` (software DSM machines
     only); ``sync`` takes any :data:`~repro.sync.policy.SyncSpec` —
     a :class:`~repro.sync.SyncPolicy`, a spec string like
@@ -78,8 +77,10 @@ def make_machine(name: str, nprocs: Optional[int] = None, *,
     :class:`~repro.ablate.AblationSpec`, a spec string like
     ``"no-twins"``, or a mapping — selecting which DSM mechanisms
     stay on (software DSM machines only; the hardware machines
-    reject non-default specs); remaining keyword arguments go to the
-    constructor (``kernel_level=True``, ``eager_locks=...``).
+    reject non-default specs); ``eager_locks`` (software DSM
+    machines only) names the locks released eagerly, or ``"all"``;
+    the rest are per-machine knobs (``kernel_level=True``,
+    ``overhead_preset=...``).
 
     The factory adds no state of its own: machines it returns are
     indistinguishable — fingerprints, cache keys, ledger records —
@@ -104,14 +105,6 @@ def make_machine(name: str, nprocs: Optional[int] = None, *,
         raise ConfigurationError(
             f"machine '{key}' takes {params_cls.__name__} params, "
             f"got {type(params).__name__}")
-    if faults is not None:
-        kwargs["faults"] = faults
-    if sync is not None:
-        from repro.sync import parse_sync
-        kwargs["sync"] = parse_sync(sync)
-    if ablate is not None:
-        from repro.ablate import parse_ablation
-        kwargs["ablate"] = parse_ablation(ablate)
     machine = machine_cls(params, **kwargs)
     if nprocs is not None and nprocs > machine.max_procs():
         raise ConfigurationError(

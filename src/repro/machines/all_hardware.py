@@ -10,22 +10,18 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.ablate import parse_ablation
 from repro.dsm.bound import BoundMode
-from repro.errors import ConfigurationError
 from repro.hw.directory import DirectorySystem
-from repro.hw.sync import HwBarrier, HwLockTable, make_hw_barrier, \
-    make_hw_locks
+from repro.hw.sync import HwBarrier, HwLockTable, make_hw_sync
 from repro.machines.base import Machine, Runtime
 from repro.machines.params import AhParams
 from repro.mem.directcache import DirectMappedCache
 from repro.mem.layout import AddressSpace, Geometry
-from repro.net.crossbar import CombiningStage, CrossbarNetwork
+from repro.net.crossbar import CrossbarNetwork
 from repro.sim.engine import Engine
 from repro.sim.resource import Resource
 from repro.sim.task import ProcTask
 from repro.stats.counters import Counters
-from repro.sync import SyncSpec, parse_sync
 from repro.trace.tracer import Category
 
 
@@ -88,27 +84,10 @@ class DirectoryRuntime(Runtime):
 class AllHardwareMachine(Machine):
     """AH: uniprocessor nodes + crossbar + directory coherence."""
 
-    def __init__(self, params: Optional[AhParams] = None, *,
-                 faults=None, sync: SyncSpec = None,
-                 ablate=None) -> None:
-        super().__init__()
-        if faults is not None and faults.enabled:
-            raise ConfigurationError(
-                "ah keeps coherence in hardware over a reliable "
-                "crossbar; fault injection "
-                f"({faults.label()}) applies only to the software DSM "
-                "machines (treadmarks, as, hs)")
-        ablate = parse_ablation(ablate)
-        if not ablate.is_default:
-            raise ConfigurationError(
-                "ah has no software DSM: the ablatable mechanisms "
-                f"({ablate.label()}) exist only on the software "
-                "machines (treadmarks, as, hs)")
+    def __init__(self, params: Optional[AhParams] = None,
+                 **variants) -> None:
         self.params = params or AhParams()
-        self.sync = parse_sync(sync)
-        self.name = "ah"
-        if not self.sync.is_default:
-            self.name = f"ah-{self.sync.label()}"
+        super().__init__("ah", **variants)
 
     @property
     def clock_hz(self) -> float:
@@ -146,32 +125,12 @@ class AllHardwareMachine(Machine):
             remote_clean_cycles=p.remote_clean_cycles,
             remote_dirty_cycles=p.remote_dirty_cycles,
         )
-        sync_home = Resource("ah.sync_home")
-        stage = None
-        if "combining" in (self.sync.lock, self.sync.barrier):
-            # The crossbar's combining stage in front of the sync home
-            # port: bursts within one home-service window merge, a
-            # merged op costs one crossbar transit.
-            stage = CombiningStage(
-                counters, resource=sync_home,
-                window_cycles=p.barrier_arrive_cycles,
-                combine_cycles=max(1, p.crossbar_latency_cycles))
-        locks = make_hw_locks(
-            self.sync.lock, engine,
-            acquire_cycles=p.lock_acquire_cycles,
-            release_cycles=p.lock_release_cycles,
-            handoff_cycles=p.lock_handoff_cycles,
-            serializer=sync_home,
-            stage=stage,
-        )
-        barrier = make_hw_barrier(
-            self.sync.barrier, engine, nprocs,
-            arrive_cycles=p.barrier_arrive_cycles,
-            depart_cycles=p.barrier_depart_cycles,
-            serializer=sync_home,
-            stage=stage,
-            tree_radix=self.sync.tree_radix,
-        )
+        # Sync ops serialize at a home port; a combining policy merges
+        # bursts there, a merged op costing one crossbar transit.
+        locks, barrier = make_hw_sync(
+            self.sync, engine, nprocs, p, counters,
+            serializer=Resource("ah.sync_home"),
+            combine_cycles=p.crossbar_latency_cycles)
         return DirectoryRuntime(engine, space, counters, nprocs,
                                 directory=directory, locks=locks,
                                 barrier=barrier)

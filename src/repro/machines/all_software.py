@@ -12,7 +12,6 @@ from typing import Optional
 
 from repro.machines.params import AsParams, LocalCacheParams
 from repro.machines.software import PagedDsmMachine
-from repro.net.faults import FaultPlan
 from repro.net.overhead import OverheadPreset
 
 
@@ -21,10 +20,7 @@ class AllSoftwareMachine(PagedDsmMachine):
 
     def __init__(self, params: Optional[AsParams] = None, *,
                  overhead_preset: Optional[OverheadPreset] = None,
-                 eager_locks=None,
-                 faults: Optional[FaultPlan] = None,
-                 sync=None,
-                 ablate=None) -> None:
+                 **variants) -> None:
         params = params or AsParams()
         if overhead_preset is not None:
             params = params.with_overhead(overhead_preset)
@@ -46,8 +42,5 @@ class AllSoftwareMachine(PagedDsmMachine):
             switch_latency_cycles=params.network_latency_cycles,
             header_bytes=params.header_bytes,
             overhead=params.overhead(),
-            eager_locks=eager_locks,
-            faults=faults,
-            sync=sync,
-            ablate=ablate,
+            **variants,
         )

@@ -16,6 +16,7 @@ import time
 from enum import Enum
 from typing import Any, Dict, Optional
 
+from repro.ablate import AblationSpecLike, parse_ablation
 from repro.apps.base import AppContext, Application
 from repro.apps import ops
 from repro.check.checker import active_check_config
@@ -25,10 +26,12 @@ from repro.ledger import (active_ledger, current_run_id, run_record,
                           run_scope)
 from repro.mem.layout import AddressSpace, Geometry
 from repro.mem.store import SharedStore
+from repro.net.faults import FaultPlan
 from repro.sim.engine import Engine
 from repro.sim.task import OpHandler, ProcTask
 from repro.stats.counters import Counters
 from repro.stats.result import RunResult
+from repro.sync import SyncSpec, parse_sync
 from repro.trace import session as trace_session
 from repro.trace.opmap import op_category
 from repro.trace.tracer import Tracer
@@ -151,18 +154,52 @@ def fingerprint_value(value: Any) -> Any:
 
 
 class Machine:
-    """A platform that can run applications; subclasses configure it."""
+    """A platform that can run applications; subclasses configure it.
 
-    name: str = "machine"
+    A machine is its configuration (:meth:`config_data`) plus a value
+    on each *variant axis*: ``eager_locks``, ``sync``
+    (:class:`~repro.sync.SyncPolicy`), ``ablate``
+    (:class:`~repro.ablate.AblationSpec`), ``faults``
+    (:class:`~repro.net.faults.FaultPlan`).  A default value is the
+    paper's protocol and leaves name and cache key untouched; any
+    other suffixes the name and forks the key.  That rule lives here
+    only: :meth:`variants` decides, ``__init__`` and
+    :meth:`fingerprint_data` apply.
+    """
 
-    #: No-progress window (sim cycles) for the engine watchdog; the
-    #: software machines set it when fault injection is enabled so a
-    #: lossy run that stops making progress fails diagnosably instead
-    #: of hanging.  ``None`` leaves the watchdog off.
+    #: True where coherence runs over the software DSM (treadmarks,
+    #: as, hs).  The other machines have no DSM to ablate, no message
+    #: path to fault, and take only the ``sync`` axis.
+    software_dsm: bool = False
+
+    #: No-progress window (sim cycles) for the engine watchdog; set
+    #: under an enabled fault plan so a lossy run that stops making
+    #: progress fails diagnosably instead of hanging.
     watchdog_cycles: Optional[int] = None
 
-    def __init__(self) -> None:
+    def __init__(self, base_name: str, *,
+                 faults: Optional[FaultPlan] = None,
+                 sync: SyncSpec = None,
+                 ablate: AblationSpecLike = None,
+                 eager_locks=None) -> None:
         self.last_runtime: Optional[Runtime] = None
+        #: Display name before any variant suffix (``as``, ``hs8``).
+        self.base_name = base_name
+        self.eager_locks = eager_locks
+        self.sync = parse_sync(sync)
+        self.ablate = parse_ablation(ablate)
+        self.faults = FaultPlan() if faults is None else faults
+        self.name = base_name
+        for axis, spec in self.variants().items():
+            label = "eager" if axis == "eager_locks" else spec.label()
+            if axis != "sync" and not self.software_dsm:
+                raise ConfigurationError(
+                    f"{base_name} keeps coherence in hardware: "
+                    f"{axis}={label} applies only to the software DSM "
+                    f"machines (treadmarks, as, hs)")
+            self.name += f"-{label}"
+            if axis == "faults":
+                self.watchdog_cycles = spec.watchdog_cycles
 
     # -- transport --------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
@@ -175,45 +212,56 @@ class Machine:
         return state
 
     # -- identity ---------------------------------------------------------
-    def fingerprint_data(self, nprocs: Optional[int] = None
-                         ) -> Dict[str, Any]:
-        """Stable data identifying this machine's simulated behaviour.
+    def variants(self) -> Dict[str, Any]:
+        """The non-default axes, ``axis -> spec``, in name-suffix order.
+
+        A disabled fault plan, the token+central policy and the all-on
+        ablation spec are the paper's protocol and behave exactly like
+        passing nothing, so they must share cache entries with the
+        plain machine (zero overhead when disabled); any other value
+        changes message flows and must fork the key.
+        """
+        found = {"eager_locks": self.eager_locks} if self.eager_locks else {}
+        for axis in ("sync", "ablate", "faults"):
+            spec = getattr(self, axis)
+            if not spec.is_default:
+                found[axis] = spec
+        return found
+
+    def config_data(self, baseline: bool) -> Dict[str, Any]:
+        """Everything but the variants that identifies the machine.
 
         The default covers machines fully described by a ``params``
-        dataclass (SGI, AH, HS): class, display name, and every
-        parameter field.  Subclasses with extra behaviour-affecting
-        state must override and include it — anything left out will
-        alias distinct configurations in the result cache.
-
-        ``nprocs`` lets a machine declare processor-count-dependent
-        equivalences; see
-        :meth:`~repro.machines.software.PagedDsmMachine.fingerprint_data`
-        for the shared 1-processor baseline of the software machines.
+        dataclass (SGI, AH, HS); a subclass with other
+        behaviour-affecting state must override and include it, or
+        distinct configurations alias in the result cache.
+        ``baseline``: see :meth:`fingerprint_data`.
         """
         data: Dict[str, Any] = {
             "class": type(self).__qualname__,
-            "name": self.name,
+            "name": self.base_name if baseline else self.name,
         }
         params = getattr(self, "params", None)
         if params is not None:
             data["params"] = fingerprint_value(params)
-        faults = getattr(self, "faults", None)
-        if faults is not None and faults.enabled:
-            # Only *enabled* plans enter the key: a disabled plan is
-            # behaviourally identical to no plan, and must share cache
-            # entries with clean runs (zero-overhead-when-disabled).
-            data["faults"] = fingerprint_value(faults)
-        sync = getattr(self, "sync", None)
-        if sync is not None and not sync.is_default:
-            # The default policy is the paper's protocol; like fault
-            # plans, only a non-default policy forks the cache key.
-            data["sync"] = fingerprint_value(sync)
-        ablate = getattr(self, "ablate", None)
-        if ablate is not None and not ablate.is_default:
-            # The all-on ablation spec is the paper's protocol and
-            # shares keys with machines built without the ablation
-            # layer; any off-toggle changes behaviour and forks it.
-            data["ablate"] = fingerprint_value(ablate)
+        return data
+
+    def fingerprint_data(self, nprocs: Optional[int] = None
+                         ) -> Dict[str, Any]:
+        """Stable data identifying this machine's simulated behaviour.
+
+        At one processor a software machine is one DSM node: no
+        message is sent, no lock token moves, no diff is made, so no
+        variant can affect the run.  That *baseline* fingerprint
+        carries no variant and the unsuffixed name, and all variants
+        of a machine share one cached baseline run.  The hardware
+        machines synchronize through their policy even alone.
+        """
+        baseline = self.software_dsm and nprocs == 1
+        data = self.config_data(baseline)
+        if not baseline:
+            for axis, spec in self.variants().items():
+                data[axis] = fingerprint_value(spec)
         check_cfg = active_check_config()
         if check_cfg is not None:
             # Checked runs are timing-identical to clean ones, but a

@@ -12,7 +12,6 @@ from typing import Optional
 
 from repro.machines.params import DecAtmParams
 from repro.machines.software import PagedDsmMachine
-from repro.net.faults import FaultPlan
 
 
 class DecTreadMarksMachine(PagedDsmMachine):
@@ -20,21 +19,14 @@ class DecTreadMarksMachine(PagedDsmMachine):
 
     def __init__(self, params: Optional[DecAtmParams] = None, *,
                  kernel_level: bool = False,
-                 eager_locks=None,
-                 use_diffs: bool = True,
                  max_procs: int = 8,
-                 faults: Optional[FaultPlan] = None,
-                 sync=None,
-                 ablate=None) -> None:
+                 **variants) -> None:
         params = params or DecAtmParams()
         if kernel_level:
             params = params.kernel_level()
         self.params = params
-        suffix = "-kernel" if kernel_level else ""
-        if eager_locks:
-            suffix += "-eager"
         super().__init__(
-            f"treadmarks{suffix}",
+            "treadmarks-kernel" if kernel_level else "treadmarks",
             clock_hz=params.clock_hz,
             page_bytes=params.page_bytes,
             cache=params.cache,
@@ -42,10 +34,6 @@ class DecTreadMarksMachine(PagedDsmMachine):
             switch_latency_cycles=params.switch_latency_cycles,
             header_bytes=params.header_bytes,
             overhead=params.overhead(),
-            eager_locks=eager_locks,
-            use_diffs=use_diffs,
             max_procs=max_procs,
-            faults=faults,
-            sync=sync,
-            ablate=ablate,
+            **variants,
         )

@@ -17,24 +17,20 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.ablate import AblationSpecLike, parse_ablation
 from repro.dsm.bound import BoundMode
-from repro.dsm.protocol import DsmConfig, TreadMarksDsm
+from repro.dsm.protocol import TreadMarksDsm
 from repro.errors import ConfigurationError
-from repro.machines.base import Machine, Runtime
+from repro.machines.base import Runtime
 from repro.machines.params import HsParams
+from repro.machines.software import SoftwareDsmMachine
 from repro.hw.snoop import SnoopingSystem
 from repro.mem.directcache import DirectMappedCache
 from repro.mem.layout import AddressSpace, Geometry
 from repro.net.atm import AtmNetwork
 from repro.net.bus import BusModel
-from repro.net.faults import FaultPlan
-from repro.net.reliable import ReliableNetwork
-from repro.recover import RecoveryManager
 from repro.sim.engine import Engine
 from repro.sim.task import ProcTask
 from repro.stats.counters import Counters
-from repro.sync import SyncSpec, parse_sync
 from repro.trace.tracer import Category
 
 
@@ -175,51 +171,18 @@ class HybridRuntime(Runtime):
             intra, self.dsm.barrier_arrive, barrier_id, node, departed)
 
 
-class HybridMachine(Machine):
+class HybridMachine(SoftwareDsmMachine):
     """HS: bus-based SMP nodes + software DSM between nodes."""
 
-    def __init__(self, params: Optional[HsParams] = None, *,
-                 eager_locks=None,
-                 faults: Optional[FaultPlan] = None,
-                 sync: SyncSpec = None,
-                 ablate: AblationSpecLike = None) -> None:
-        super().__init__()
+    def __init__(self, params: Optional[HsParams] = None,
+                 **variants) -> None:
         self.params = params or HsParams()
-        self.eager_locks = eager_locks
-        self.faults = faults
-        self.sync = parse_sync(sync)
-        self.ablate = parse_ablation(ablate)
-        self.name = f"hs{self.params.procs_per_node}"
-        if not self.sync.is_default:
-            self.name = f"{self.name}-{self.sync.label()}"
-        if not self.ablate.is_default:
-            self.name = f"{self.name}-{self.ablate.label()}"
-        if faults is not None and faults.enabled:
-            self.name = f"{self.name}-{faults.label()}"
-            self.watchdog_cycles = faults.watchdog_cycles
+        super().__init__(f"hs{self.params.procs_per_node}", **variants)
 
     @property
     def clock_hz(self) -> float:
         """Simulated node clock (HsParams)."""
         return self.params.clock_hz
-
-    def fingerprint_data(self, nprocs=None):
-        """Machine identity, with the 1-proc baseline policy-blind."""
-        data = super().fingerprint_data(nprocs)
-        if nprocs == 1:
-            # One processor is one node: the DSM engages no remote
-            # machinery, so every sync policy and ablation spec is
-            # behaviourally identical and the 1-proc baseline is
-            # shared.  The name carries the suffixes, so normalize it.
-            data.pop("sync", None)
-            data.pop("ablate", None)
-            if not self.sync.is_default:
-                data["name"] = data["name"].replace(
-                    f"-{self.sync.label()}", "")
-            if not self.ablate.is_default:
-                data["name"] = data["name"].replace(
-                    f"-{self.ablate.label()}", "")
-        return data
 
     def geometry(self) -> Geometry:
         """DSM pages between nodes, bus lines within them."""
@@ -242,26 +205,14 @@ class HybridMachine(Machine):
             header_bytes=p.header_bytes,
             handler_servers=min(p.procs_per_node, nprocs),
         )
-        if self.faults is not None and self.faults.enabled:
-            net = ReliableNetwork(net, self.faults,
-                                  flat_retry=not self.ablate.backoff)
-        dsm = TreadMarksDsm(net, space, p.overhead(), DsmConfig(
-            num_nodes=num_nodes,
+        net, dsm = self.build_dsm(
+            net, space, p.overhead(), num_nodes=num_nodes,
             page_bytes=p.page_bytes,
-            eager_locks=self.eager_locks,
-            local_grant_cycles=p.lock_handoff_cycles,
-            sync=self.sync,
-            ablate=self.ablate,
-        ))
+            local_grant_cycles=p.lock_handoff_cycles)
         runtime = HybridRuntime(engine, space, counters, nprocs,
                                 params=p, net=net, dsm=dsm,
                                 num_nodes=num_nodes)
-        if self.faults is not None and self.faults.crashes:
-            # A node crash takes every co-resident processor with it.
-            manager = RecoveryManager(
-                engine, net, dsm, self.faults, counters,
-                procs_of=lambda node: runtime.node_procs[node])
-            net.recovery = manager
-            runtime.recovery = manager
-            manager.arm()
+        # A node crash takes every co-resident processor with it.
+        self.arm_recovery(
+            runtime, procs_of=lambda node: runtime.node_procs[node])
         return runtime

@@ -10,22 +10,17 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.ablate import parse_ablation
 from repro.dsm.bound import BoundMode
-from repro.errors import ConfigurationError
 from repro.hw.snoop import SnoopingSystem
-from repro.hw.sync import HwBarrier, HwLockTable, make_hw_barrier, \
-    make_hw_locks
+from repro.hw.sync import HwBarrier, HwLockTable, make_hw_sync
 from repro.machines.base import Machine, Runtime
 from repro.machines.params import SgiParams
 from repro.mem.directcache import DirectMappedCache
 from repro.mem.layout import AddressSpace, Geometry
 from repro.net.bus import BusModel
-from repro.net.crossbar import CombiningStage
 from repro.sim.engine import Engine
 from repro.sim.task import ProcTask
 from repro.stats.counters import Counters
-from repro.sync import SyncSpec, parse_sync
 
 
 class SnoopRuntime(Runtime):
@@ -79,27 +74,10 @@ class SnoopRuntime(Runtime):
 class SgiMachine(Machine):
     """The SGI 4D/480."""
 
-    def __init__(self, params: Optional[SgiParams] = None, *,
-                 faults=None, sync: SyncSpec = None,
-                 ablate=None) -> None:
-        super().__init__()
-        if faults is not None and faults.enabled:
-            raise ConfigurationError(
-                "sgi is a hardware shared-memory machine with no "
-                "message-passing network path; fault injection "
-                f"({faults.label()}) applies only to the software DSM "
-                "machines (treadmarks, as, hs)")
-        ablate = parse_ablation(ablate)
-        if not ablate.is_default:
-            raise ConfigurationError(
-                "sgi keeps coherence in hardware: the ablatable DSM "
-                f"mechanisms ({ablate.label()}) exist only on the "
-                "software machines (treadmarks, as, hs)")
+    def __init__(self, params: Optional[SgiParams] = None,
+                 **variants) -> None:
         self.params = params or SgiParams()
-        self.sync = parse_sync(sync)
-        self.name = "sgi"
-        if not self.sync.is_default:
-            self.name = f"sgi-{self.sync.label()}"
+        super().__init__("sgi", **variants)
 
     @property
     def clock_hz(self) -> float:
@@ -127,29 +105,11 @@ class SgiMachine(Machine):
             hit_cycles=p.l2_hit_cycles,
             memory_extra_cycles=p.memory_extra_cycles,
         )
-        stage = None
-        if "combining" in (self.sync.lock, self.sync.barrier):
-            # Sequent-style fetch-and-add at the memory controller:
-            # ops arriving within one bus-transaction window merge.
-            stage = CombiningStage(
-                counters, resource=bus.resource,
-                window_cycles=p.barrier_arrive_cycles,
-                combine_cycles=max(1, p.lock_release_cycles))
-        locks = make_hw_locks(
-            self.sync.lock, engine,
-            acquire_cycles=p.lock_acquire_cycles,
-            release_cycles=p.lock_release_cycles,
-            handoff_cycles=p.lock_handoff_cycles,
+        # Sync ops serialize on the bus; a combining policy is
+        # Sequent-style fetch-and-add at the memory controller.
+        locks, barrier = make_hw_sync(
+            self.sync, engine, nprocs, p, counters,
             serializer=bus.resource,
-            stage=stage,
-        )
-        barrier = make_hw_barrier(
-            self.sync.barrier, engine, nprocs,
-            arrive_cycles=p.barrier_arrive_cycles,
-            depart_cycles=p.barrier_depart_cycles,
-            serializer=bus.resource,
-            stage=stage,
-            tree_radix=self.sync.tree_radix,
-        )
+            combine_cycles=p.lock_release_cycles)
         return SnoopRuntime(engine, space, counters, nprocs,
                             snoop=snoop, locks=locks, barrier=barrier)

@@ -11,22 +11,19 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.ablate import AblationSpecLike, parse_ablation
 from repro.dsm.bound import BoundMode
 from repro.dsm.protocol import DsmConfig, TreadMarksDsm
-from repro.machines.base import Machine, Runtime
+from repro.machines.base import Machine, Runtime, fingerprint_value
 from repro.machines.params import LocalCacheParams
 from repro.mem.directcache import DirectMappedCache
 from repro.mem.layout import AddressSpace, Geometry
 from repro.net.atm import AtmNetwork
-from repro.net.faults import FaultPlan
 from repro.net.overhead import SoftwareOverhead
 from repro.net.reliable import ReliableNetwork
 from repro.recover import RecoveryManager
 from repro.sim.engine import Engine
 from repro.sim.task import ProcTask
 from repro.stats.counters import Counters
-from repro.sync import SyncSpec, parse_sync
 from repro.trace.tracer import Category
 
 
@@ -116,8 +113,44 @@ class DsmRuntime(Runtime):
         self.dsm.barrier_arrive(barrier_id, proc, departed)
 
 
-class PagedDsmMachine(Machine):
-    """Configurable uniprocessor-node software DSM machine."""
+class SoftwareDsmMachine(Machine):
+    """A machine whose nodes are kept coherent by the TreadMarks DSM.
+
+    The one place the variant axes of :class:`Machine` reach a runtime.
+    """
+
+    software_dsm = True
+
+    def build_dsm(self, net: AtmNetwork, space: AddressSpace,
+                  overhead: SoftwareOverhead, **config):
+        """``(net, dsm)`` for one run, this machine's variants applied."""
+        if self.faults.enabled:
+            net = ReliableNetwork(net, self.faults,
+                                  flat_retry=not self.ablate.backoff)
+        return net, TreadMarksDsm(net, space, overhead, DsmConfig(
+            eager_locks=self.eager_locks, sync=self.sync,
+            ablate=self.ablate, **config))
+
+    def arm_recovery(self, runtime: Runtime, procs_of) -> None:
+        """Under a crash plan, arm ``runtime``'s recovery manager.
+
+        It kills ``procs_of(node)`` at the node's crash time and
+        repairs the DSM stack when the failure is declared.
+        """
+        if self.faults.crashes:
+            manager = RecoveryManager(
+                runtime.engine, runtime.net, runtime.dsm, self.faults,
+                runtime.counters, procs_of=procs_of)
+            runtime.net.recovery = manager
+            runtime.recovery = manager
+            manager.arm()
+
+
+class PagedDsmMachine(SoftwareDsmMachine):
+    """Configurable uniprocessor-node software DSM machine.
+
+    ``**variants`` are the variant axes of :class:`Machine`.
+    """
 
     def __init__(self, name: str, *, clock_hz: float, page_bytes: int,
                  cache: LocalCacheParams,
@@ -125,20 +158,9 @@ class PagedDsmMachine(Machine):
                  switch_latency_cycles: int,
                  header_bytes: int,
                  overhead: SoftwareOverhead,
-                 eager_locks=None,
-                 use_diffs: bool = True,
                  max_procs: Optional[int] = None,
-                 faults: Optional[FaultPlan] = None,
-                 sync: SyncSpec = None,
-                 ablate: AblationSpecLike = None) -> None:
-        super().__init__()
-        self.sync = parse_sync(sync)
-        self.ablate = parse_ablation(ablate)
-        self.name = name if use_diffs else f"{name}-nodiff"
-        if not self.sync.is_default:
-            self.name = f"{self.name}-{self.sync.label()}"
-        if not self.ablate.is_default:
-            self.name = f"{self.name}-{self.ablate.label()}"
+                 **variants) -> None:
+        super().__init__(name, **variants)
         self._clock_hz = clock_hz
         self.page_bytes = page_bytes
         self.cache = cache
@@ -146,47 +168,34 @@ class PagedDsmMachine(Machine):
         self.switch_latency = switch_latency_cycles
         self.header_bytes = header_bytes
         self.overhead = overhead
-        self.eager_locks = eager_locks
-        self.use_diffs = use_diffs
         self._max_procs = max_procs
-        self.faults = faults
-        if faults is not None and faults.enabled:
-            self.name = f"{self.name}-{faults.label()}"
-            self.watchdog_cycles = faults.watchdog_cycles
 
     @property
     def clock_hz(self) -> float:
         return self._clock_hz
 
-    def fingerprint_data(self, nprocs=None):
-        """Cache identity; declares the shared 1-processor baseline.
+    def config_data(self, baseline: bool):
+        """Cache identity; the 1-processor baseline is the local machine.
 
         At one node the DSM engages no remote machinery — no messages
         are sent, the lock token never moves, and the bound is local —
         so none of the protocol/network knobs (overhead preset,
-        eager vs lazy release, diffs vs whole pages, bandwidth,
-        latency, headers) can affect the run.  The paper leans on
-        exactly this (Table 1's DEC and DEC+TreadMarks columns
-        coincide), and ``tests/test_parallel.py`` pins it.  The
-        1-processor fingerprint therefore keeps only the local
-        machine: clock, page size, and the processor cache.  Every
-        software-DSM variant with the same local machine shares one
-        cached baseline.
+        bandwidth, latency, headers; nor any variant, see
+        :meth:`Machine.fingerprint_data`) can affect the run.  The
+        paper leans on exactly this (Table 1's DEC and DEC+TreadMarks
+        columns coincide), and ``tests/test_parallel.py`` pins it.
+        The baseline therefore keeps only the local machine: clock,
+        page size, and the processor cache.  Every software-DSM
+        machine with the same local machine shares one cached
+        baseline.
         """
-        from repro.check.checker import active_check_config
-        from repro.machines.base import fingerprint_value
         data = {
             "class": "PagedDsmMachine",
             "clock_hz": self._clock_hz,
             "page_bytes": self.page_bytes,
             "cache": fingerprint_value(self.cache),
         }
-        check_cfg = active_check_config()
-        if check_cfg is not None:
-            # Checked runs must never reuse (or seed) unchecked cache
-            # entries — the checkers would silently not run.
-            data["check"] = check_cfg.label()
-        if nprocs == 1:
+        if baseline:
             data["uniprocessor_baseline"] = True
             return data
         data.update({
@@ -195,22 +204,15 @@ class PagedDsmMachine(Machine):
             "switch_latency_cycles": self.switch_latency,
             "header_bytes": self.header_bytes,
             "overhead": fingerprint_value(self.overhead),
-            "eager_locks": fingerprint_value(self.eager_locks),
-            "use_diffs": self.use_diffs,
+            # Two constants the CACHE_VERSION-5 key schema has always
+            # carried for this family (the second was a constructor
+            # knob, now ablate="no-diffs").  Kept verbatim so existing
+            # cache entries and ledger run_ids stay addressable (drop
+            # both at the next CACHE_VERSION bump); a set
+            # ``eager_locks`` overwrites the first through the fold.
+            "eager_locks": None,
+            "use_diffs": True,
         })
-        if not self.sync.is_default:
-            # The default policy is the paper's protocol; non-default
-            # policies change message flows and must fork the key.
-            data["sync"] = fingerprint_value(self.sync)
-        if not self.ablate.is_default:
-            # The all-on spec is the paper's protocol and must share
-            # keys with machines built without the ablation layer;
-            # any off-toggle changes behaviour and forks the key.
-            data["ablate"] = fingerprint_value(self.ablate)
-        if self.faults is not None and self.faults.enabled:
-            # Disabled plans are behaviourally inert and share keys
-            # with clean runs; enabled plans never may.
-            data["faults"] = fingerprint_value(self.faults)
         return data
 
     def geometry(self) -> Geometry:
@@ -230,17 +232,9 @@ class PagedDsmMachine(Machine):
             counters=counters,
             header_bytes=self.header_bytes,
         )
-        if self.faults is not None and self.faults.enabled:
-            net = ReliableNetwork(net, self.faults,
-                                  flat_retry=not self.ablate.backoff)
-        dsm = TreadMarksDsm(net, space, self.overhead, DsmConfig(
-            num_nodes=nprocs,
-            page_bytes=self.page_bytes,
-            eager_locks=self.eager_locks,
-            use_diffs=self.use_diffs,
-            sync=self.sync,
-            ablate=self.ablate,
-        ))
+        net, dsm = self.build_dsm(net, space, self.overhead,
+                                  num_nodes=nprocs,
+                                  page_bytes=self.page_bytes)
         if self.eager_locks:
             bound_mode = BoundMode.EAGER
             push_latency = net.roundtrip_estimate(256) // 2
@@ -252,14 +246,5 @@ class PagedDsmMachine(Machine):
             net=net, dsm=dsm, cache_params=self.cache,
             bound_mode=bound_mode, bound_push_latency=push_latency,
         )
-        if self.faults is not None and self.faults.crashes:
-            # Crash-stop failures: the manager kills the node's (sole)
-            # processor at crash time and repairs the DSM stack at
-            # declaration time.
-            manager = RecoveryManager(engine, net, dsm, self.faults,
-                                      counters,
-                                      procs_of=lambda node: [node])
-            net.recovery = manager
-            runtime.recovery = manager
-            manager.arm()
+        self.arm_recovery(runtime, procs_of=lambda node: [node])
         return runtime

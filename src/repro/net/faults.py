@@ -252,6 +252,11 @@ class FaultPlan:
                     self.jitter_cycles or self.schedule or self.stalls or
                     self.crashes)
 
+    @property
+    def is_default(self) -> bool:
+        """True for a disabled plan (the variant protocol's spelling)."""
+        return not self.enabled
+
     def label(self) -> str:
         """Compact machine-name suffix (``loss0.02``, ``sched``...)."""
         parts = []

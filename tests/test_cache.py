@@ -49,7 +49,7 @@ def test_machine_variant_changes_key_above_one_proc():
     app = make_app("sor_small", Scale.TEST)
     base = run_key(DecTreadMarksMachine(), app, 4)
     assert run_key(DecTreadMarksMachine(kernel_level=True), app, 4) != base
-    assert run_key(DecTreadMarksMachine(use_diffs=False), app, 4) != base
+    assert run_key(DecTreadMarksMachine(ablate="no-diffs"), app, 4) != base
     assert run_key(DecTreadMarksMachine(eager_locks="all"), app, 4) != base
 
 
@@ -59,7 +59,7 @@ def test_software_variants_share_one_proc_baseline():
     app = make_app("sor_small", Scale.TEST)
     base = run_key(DecTreadMarksMachine(), app, 1)
     for variant in (DecTreadMarksMachine(kernel_level=True),
-                    DecTreadMarksMachine(use_diffs=False),
+                    DecTreadMarksMachine(ablate="no-diffs"),
                     DecTreadMarksMachine(eager_locks="all")):
         assert run_key(variant, app, 1) == base
     assert (run_key(AllSoftwareMachine(), app, 1) ==

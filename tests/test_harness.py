@@ -1,12 +1,17 @@
 """Harness: registry completeness, formatting, workloads, CLI."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.harness import fmt
-from repro.harness.cli import build_parser, main
-from repro.harness.experiments import (REGISTRY, Scale, get_experiment,
-                                       list_experiments, run_experiment)
+from repro.harness.cli import _SWEEP_FLAGS, build_parser, main
+from repro.harness.experiments import (REGISTRY, SWEEP_OPTIONS, Experiment,
+                                       Scale, current_options,
+                                       get_experiment,
+                                       list_experiments, run_experiment,
+                                       sweep_options)
 from repro.harness.workloads import (EXPERIMENTAL_PROCS, WORKLOADS,
                                      make_app)
 
@@ -102,3 +107,97 @@ def test_cli_run_test_scale(capsys):
 def test_cli_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+# -- sweep options: one ambient mechanism, one CLI flag table ------------
+def test_sweep_options_scopes_nest_and_stay_per_experiment():
+    assert current_options("sync-sweep") == SWEEP_OPTIONS["sync-sweep"]()
+    with sweep_options("sync-sweep", locks=("mcs",)) as outer:
+        with sweep_options("fault-sweep", seed=7):
+            assert current_options("sync-sweep") is outer
+            assert current_options("fault-sweep").seed == 7
+            with sweep_options("sync-sweep", locks=("ticket",)):
+                assert current_options("sync-sweep").locks == ("ticket",)
+            assert current_options("sync-sweep") is outer
+        assert current_options("fault-sweep").seed == 42
+    assert current_options("sync-sweep").locks != ("mcs",)
+
+
+def test_sweep_options_validate_experiment_and_fields():
+    with pytest.raises(ConfigurationError, match="takes no sweep options"):
+        with sweep_options("fig3"):
+            pass
+    with pytest.raises(TypeError):
+        with sweep_options("sync-sweep", loss_rates=(0.1,)):
+            pass
+    with pytest.raises(ConfigurationError, match="unknown mechanism"):
+        with sweep_options("ablation-sweep", mechanisms=("telepathy",)):
+            pass
+
+
+def test_cli_sweep_flag_table_matches_parser_and_options():
+    """Every flag in the table exists on `run` and names a real field."""
+    args = build_parser().parse_args(["run", "fig3"])
+    for exp_id, flags in _SWEEP_FLAGS.items():
+        fields = {f.name for f in dataclasses.fields(SWEEP_OPTIONS[exp_id])}
+        for flag, field, *_ in flags:
+            assert getattr(args, flag[2:].replace("-", "_")) is None
+            assert field in fields, (exp_id, field)
+
+
+def test_cli_sweep_flags_reach_their_experiment(capsys, monkeypatch):
+    seen = {}
+
+    def spy(scale):
+        seen["opts"] = current_options("sync-sweep")
+        return run_experiment("x3", scale)
+
+    monkeypatch.setitem(REGISTRY, "sync-sweep",
+                        Experiment("sync-sweep", "t", "r", "s", spy))
+    assert main(["run", "sync-sweep", "--scale", "test", "--no-cache",
+                 "--no-ledger", "--sync-lock", "mcs", "--sync-lock",
+                 "ticket", "--sync-machine", "as"]) == 0
+    assert seen["opts"].locks == ("mcs", "ticket")
+    assert seen["opts"].machines == ("as",)
+    assert seen["opts"].barriers == SWEEP_OPTIONS["sync-sweep"]().barriers
+
+
+def test_cli_sweep_flag_without_its_experiment_is_a_usage_error(capsys):
+    assert main(["run", "fig3", "--scale", "test", "--crash-frac",
+                 "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "--crash/--crash-frac/--detect-cycles" in err
+    assert "'failure-sweep'" in err
+
+
+def test_cli_bad_sweep_value_is_a_usage_error_before_any_session(
+        capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    assert main(["run", "ablation-sweep", "--scale", "test",
+                 "--cache-dir", str(cache_dir),
+                 "--ablate-mechanism", "telepathy"]) == 2
+    assert "unknown mechanism" in capsys.readouterr().err
+    assert not cache_dir.exists()  # neither cache nor ledger was opened
+
+
+def test_cli_ablate_is_run_ablation_sweep_at_test_scale(capsys,
+                                                        monkeypatch):
+    seen = {}
+
+    def spy(scale):
+        seen["scale"] = scale
+        seen["opts"] = current_options("ablation-sweep")
+        return run_experiment("x3", scale)
+
+    monkeypatch.setitem(REGISTRY, "ablation-sweep",
+                        Experiment("ablation-sweep", "t", "r", "s", spy))
+    assert main(["ablate", "--no-cache", "--no-ledger",
+                 "--ablate-mechanism", "diffs",
+                 "--ablate-machine", "as"]) == 0
+    assert seen["scale"] is Scale.TEST
+    assert seen["opts"].mechanisms == ("diffs",)
+    assert seen["opts"].machines == ("as",)
+    assert "[ablation-sweep at scale=test" in capsys.readouterr().out
+    # The alias takes only its own experiment's flags.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["ablate", "--sync-lock", "mcs"])

@@ -17,7 +17,7 @@ import pytest
 
 from repro.errors import ConsistencyViolation
 from repro.harness.cache import ResultCache, run_key
-from repro.harness.parallel import RunPlan, execute_plan
+from repro.harness.parallel import RunPlan, execute_plan, run_context
 from repro.harness.workloads import Scale, make_app
 from repro.ledger import (Ledger, ledger_session, make_run_id, run_scope)
 from repro.machines import DecTreadMarksMachine, SgiMachine
@@ -139,6 +139,17 @@ def test_warm_cache_appends_hit_records(tmp_path, app):
     # nothing else about them may differ (the determinism contract).
     assert {r.run_id for r in warm} == {h["run_id"] for h in hits}
     assert [r.summary() for r in cold] == [r.summary() for r in warm]
+
+
+def test_run_context_ledger_alone_records_every_run(tmp_path):
+    """An empty Ledger is falsy (``__len__`` is 0): the ambient one
+    must be picked by identity, with no ``ledger_session`` around."""
+    ledger = Ledger(str(tmp_path / "new.jsonl"))
+    with run_context(ledger=ledger):
+        results = execute_plan(_plan())
+    assert ([rec["run_id"] for rec in ledger.records()] ==
+            [r.run_id for r in results])
+    assert len(ledger) == len(_plan())
 
 
 # ======================================================================

@@ -98,7 +98,7 @@ def test_machine_names_distinct():
         DecTreadMarksMachine().name,
         DecTreadMarksMachine(kernel_level=True).name,
         DecTreadMarksMachine(eager_locks="all").name,
-        DecTreadMarksMachine(use_diffs=False).name,
+        DecTreadMarksMachine(ablate="no-diffs").name,
         SgiMachine().name,
         HybridMachine().name,
     }

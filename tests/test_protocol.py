@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ablate import AblationSpec
 from repro.dsm.protocol import DsmConfig, TreadMarksDsm
 from repro.errors import ConfigurationError
 from repro.mem.layout import AddressSpace, Geometry
@@ -182,7 +183,7 @@ def test_eager_push_keeps_copies_valid():
 
 
 def test_whole_page_mode_moves_page_sized_diffs():
-    engine, counters, dsm = make_dsm(use_diffs=False)
+    engine, counters, dsm = make_dsm(ablate=AblationSpec.without("diffs"))
     run_sync(engine, dsm.write, 0, 0, 64, 8)   # 8 changed bytes
     assert dsm.pages[0].dirty == {0: PAGE}
 

@@ -98,7 +98,7 @@ def test_kernel_level_helps_mwater_more_than_sor():
 def test_whole_page_transfer_moves_more_data():
     app = SorApp(rows=96, cols=96, iterations=3)
     with_diffs = DecTreadMarksMachine().run(app, 8)
-    without = DecTreadMarksMachine(use_diffs=False).run(
+    without = DecTreadMarksMachine(ablate="no-diffs").run(
         SorApp(rows=96, cols=96, iterations=3), 8)
     assert without.counters.miss_data_bytes > \
         2 * with_diffs.counters.miss_data_bytes
