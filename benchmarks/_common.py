@@ -1,25 +1,20 @@
 """Shared benchmark plumbing.
 
-Every benchmark regenerates one artifact of the paper (a table or a
-figure) through the experiment registry, times it with
+``bench_registry.py`` regenerates one artifact of the paper (a table
+or a figure) per test through the experiment registry, times it with
 pytest-benchmark, prints the regenerated rows/series, and archives
 them under ``benchmarks/results/<exp_id>.txt`` so the output survives
-pytest's capture.
+pytest's capture (:func:`bench_experiment`).
 
-The standalone wall-clock scripts (``bench_parallel_runner.py``,
-``bench_trace_overhead.py``, ``bench_check_overhead.py``) write their
-``BENCH_*.json`` reports through :func:`write_bench_json`, which
-stamps every file with :func:`bench_meta` — host, code revision,
-package/cache versions, generation time.  Wall-clock numbers are
-meaningless without knowing what hardware and which commit produced
-them; ``repro-harness report`` refuses to treat un-stamped BENCH
-files as comparable.
+Host-time reports (``bench_observers.py``, ``e2e/run.py --record``)
+carry :func:`bench_meta` — host, code revision, package/cache
+versions, generation time.  Wall-clock numbers are meaningless without
+knowing what hardware and which commit produced them.
 """
 
 from __future__ import annotations
 
 import datetime
-import json
 import os
 from typing import Any, Dict
 
@@ -31,11 +26,11 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
 def bench_meta() -> Dict[str, Any]:
-    """The provenance stamp every BENCH_*.json carries under ``meta``.
+    """The provenance stamp a host-time report carries under ``meta``.
 
     Mirrors the fields a ledger record carries (``code``, ``host``,
-    ``repro_version``) so a BENCH report can be correlated with the
-    ledger records of the runs it timed.
+    ``repro_version``) so a report can be correlated with the ledger
+    records of the runs it timed.
     """
     from repro.harness.cache import CACHE_VERSION
     return {
@@ -46,16 +41,6 @@ def bench_meta() -> Dict[str, Any]:
         "repro_version": getattr(repro, "__version__", "0"),
         "cache_version": CACHE_VERSION,
     }
-
-
-def write_bench_json(path: str, payload: Dict[str, Any]) -> None:
-    """Write one BENCH report, stamped with :func:`bench_meta`."""
-    payload = dict(payload)
-    payload["meta"] = bench_meta()
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {os.path.normpath(path)}")
 
 
 def bench_experiment(benchmark, exp_id: str,

@@ -22,8 +22,8 @@ to look for:
 Run:  python examples/sync_crossover.py     (takes ~a minute)
 
 The full grid (2 workloads x 3 machines x 4 locks x 3 barriers) is
-``repro-harness run sync-sweep``; `benchmarks/bench_sync_crossover.py`
-pins both shapes as CI bars.
+``repro-harness run sync-sweep``; ``repro-harness validate`` gates
+both shapes.
 """
 
 from repro import WaterApp, make_machine

@@ -31,7 +31,8 @@ Storage layout
 :meth:`~repro.stats.result.RunResult.to_jsonable` form, fanned out
 over 256 subdirectories.  Writes are atomic (temp file + ``rename``),
 so concurrent harness invocations sharing a cache directory are safe.
-Unreadable or corrupt entries are treated as misses and overwritten.
+Unreadable, corrupt or mis-keyed entries are treated as misses and
+overwritten.
 """
 
 from __future__ import annotations
@@ -139,10 +140,17 @@ class ResultCache:
         return os.path.join(self.root, key[:2], f"{key}.json")
 
     def get(self, key: str) -> Optional[RunResult]:
-        """The cached result for ``key``, or None (counted as a miss)."""
+        """The cached result for ``key``, or None (counted as a miss).
+
+        An entry is served only for the key it was stored under: a
+        file copied or renamed to another address, or torn and
+        rewritten, is a miss, and the ``put`` that follows repairs it.
+        """
         try:
             with open(self.path_for(key)) as fh:
                 payload = json.load(fh)
+            if payload["key"] != key:
+                raise KeyError(key)
             result = RunResult.from_jsonable(payload["result"])
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1

@@ -422,13 +422,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     from repro.harness.validate import format_results, run_validation
+    scale = Scale(args.scale)
     cache = _make_cache(args)
     ledger = _make_ledger(args)
     with ledger_session(ledger), \
             run_context(jobs=args.jobs, cache=cache, ledger=ledger,
                         quiet=args.quiet):
-        results = run_validation(Scale(args.scale))
-    for line in format_results(results):
+        results = run_validation(scale)
+    for line in format_results(results, scale):
         print(line)
     _report_cache(cache, ledger)
     return 0 if all(ok for _c, ok in results) else 1

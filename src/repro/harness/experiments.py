@@ -823,6 +823,7 @@ def run_failure_sweep(scale: Scale) -> Report:
             "degraded": degraded,
             "crashes": [{"node": e.node, "at": e.at, "rejoin": e.rejoin}
                         for e in crashes],
+            "detect_cycles": opts.detect_cycles,
             "detection_cycles": c.detection_cycles,
             "pages_rehomed": c.pages_rehomed,
             "pages_lost": c.pages_lost,
@@ -875,7 +876,8 @@ class SyncSweepOptions:
            "Tree/combining barriers lift the software machines at high "
            "processor counts (the centralized manager's O(n) handler "
            "serialization is the bottleneck they remove); lock choice "
-           "barely moves DSM apps.  AH is nearly flat across policies.")
+           "barely moves DSM apps.  AH moves less across policies than "
+           "the best software gain.")
 def run_sync_sweep(scale: Scale) -> Report:
     opts = current_options("sync-sweep")
     procs = tuple(SIMULATED_PROCS[scale])

@@ -52,12 +52,11 @@ The pool
 
 Fan-out uses one *persistent* pool of warm workers per process: the
 first parallel plan pays the interpreter/numpy spawn cost, later
-plans reuse the same workers.  A plan's work list is pickled once
-into a :mod:`multiprocessing.shared_memory` segment and workers are
-dispatched *index batches* into it, so per-task transfer is a few
-integers regardless of machine/app size.  Because warm workers keep
-the environment they were forked with, each dispatch re-ships the
-ambient knobs that may legally change between plans
+plans reuse the same workers.  Each unique run is one future carrying
+its own :class:`RunSpec` — a spec pickles to under 2 KB, so there is
+nothing to gain from sharing the plan out of band.  Because warm
+workers keep the environment they were forked with, each dispatch
+re-ships the ambient knobs that may legally change between plans
 (``REPRO_CHECK``, ``REPRO_PROGRESS``).
 
 Worker counts are clamped to physical cores: simulation is CPU-bound,
@@ -79,16 +78,14 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import os
-import pickle
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.apps.base import Application
@@ -307,70 +304,6 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-# -- the shared plan blob ---------------------------------------------
-_PLAN_CACHE: Dict[str, Any] = {}
-
-
-def _publish_plan(payload: Any) -> Tuple[SharedMemory, int]:
-    """Pickle ``payload`` once into a shared-memory segment.
-
-    Every worker attaches and unpickles it once per plan; dispatching
-    a task is then just a few indices.  The parent owns the segment
-    and unlinks it when the plan completes.
-    """
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    shm = SharedMemory(create=True, size=len(blob))
-    shm.buf[:len(blob)] = blob
-    return shm, len(blob)
-
-
-def _load_plan(name: str, nbytes: int) -> Any:
-    """Worker side: attach, unpickle, and cache one plan blob."""
-    payload = _PLAN_CACHE.get(name)
-    if payload is None:
-        # Forked workers share the parent's resource tracker, so the
-        # attach-side registration collapses into the parent's own
-        # (the tracker cache is a set) and the parent's unlink cleans
-        # up for everyone — no per-worker deregistration needed.
-        shm = SharedMemory(name=name)
-        try:
-            payload = pickle.loads(bytes(shm.buf[:nbytes]))
-        finally:
-            shm.close()
-        _PLAN_CACHE.clear()   # one plan at a time; drop stale blobs
-        _PLAN_CACHE[name] = payload
-    return payload
-
-
-def _apply_env(env: Dict[str, Optional[str]]) -> None:
-    for key, value in env.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-
-
-def _run_batch(shm_name: str, nbytes: int, indices: Sequence[int],
-               env: Dict[str, Optional[str]]
-               ) -> List[Tuple[int, "RunResult", float]]:
-    """Execute one dispatched batch of work-list indices in a worker."""
-    _apply_env(env)
-    specs, run_ids = _load_plan(shm_name, nbytes)
-    return [(i, *_run_spec(specs[i], run_ids[i])) for i in indices]
-
-
-def _dispatch_batches(nwork: int, workers: int) -> List[List[int]]:
-    """Round-robin the work list into at most ``4 * workers`` batches.
-
-    Striding interleaves neighbours (adjacent specs — same series,
-    growing processor counts — correlate in cost), and four batches
-    per worker leaves slack for load imbalance while keeping the
-    dispatch count far below one-future-per-run on big sweeps.
-    """
-    nbatches = min(nwork, workers * 4)
-    return [list(range(b, nwork, nbatches)) for b in range(nbatches)]
-
-
 # ======================================================================
 # Execution
 # ======================================================================
@@ -398,6 +331,18 @@ def _run_spec(spec: RunSpec,
         result = spec.machine.run(spec.app, spec.nprocs,
                                   seed=spec.seed, params=spec.params)
     return result, time.perf_counter() - start
+
+
+def _run_spec_in_worker(spec: RunSpec, run_id: Optional[str],
+                        env: Dict[str, Optional[str]]
+                        ) -> Tuple[RunResult, float]:
+    """Pool entry point: re-apply the shipped environment, run one spec."""
+    for key, value in env.items():
+        if value is None:
+            os.environ.pop(key, None)
+        else:
+            os.environ[key] = value
+    return _run_spec(spec, run_id)
 
 
 def _localize(result: RunResult, spec: RunSpec) -> RunResult:
@@ -434,86 +379,66 @@ MAX_WORKER_RETRIES = 3
 def _execute_pooled(work: Sequence[Tuple[str, RunSpec]],
                     run_id_of: Any, produced: Dict[str, RunResult],
                     walls: Dict[str, float], progress_done: Any,
-                    workers: int, on_worker_crash: Any = None) -> None:
-    """Run the work list on the persistent pool.
+                    workers: int, on_worker_crash: Any) -> None:
+    """Run the work list on the persistent pool, one future per spec.
 
-    The ``(specs, run_ids)`` payload travels once through shared
-    memory; each dispatched future carries only work-list indices.
-    Results stream back per batch and are merged under their content
-    keys as batches complete.
+    Results are merged under their content keys as futures complete.
 
     The pool self-heals: a worker dying (OOM kill, segfault, an
     ``os._exit`` in application code) poisons the whole executor, so
     the broken pool is torn down, a fresh one is spawned, and every
-    run that had not reported back is retried *individually* — one
-    spec per dispatch — which both re-runs the innocent casualties of
-    the shared batch and isolates the culprit.  A spec that keeps
+    run that had not reported back is retried *alone* — one spec in
+    flight at a time — which both re-runs the innocent casualties of
+    the broken pool and isolates the culprit.  A spec that keeps
     killing workers is quarantined after :data:`MAX_WORKER_RETRIES`
     isolated attempts and the plan fails with
     :class:`~repro.errors.WorkerCrashError` naming it; each failed
     attempt is reported through ``on_worker_crash(key, spec, error)``
     so the provenance ledger records attempts that produced no result.
     """
-    specs = [spec for _key, spec in work]
-    run_ids = [run_id_of(key) for key, _spec in work]
     env = {name: os.environ.get(name) for name in SHIPPED_ENV}
-    completed: set = set()
+
+    def submit(i: int) -> Any:
+        key, spec = work[i]
+        return _ensure_pool(workers).submit(
+            _run_spec_in_worker, spec, run_id_of(key), env)
 
     def merge(i: int, result: RunResult, wall: float) -> None:
         key, spec = work[i]
-        completed.add(i)
         produced[key] = result
         walls[key] = wall
         progress_done(key, spec)
 
-    pool = _ensure_pool(workers)
-    shm, nbytes = _publish_plan((specs, run_ids))
+    futures: Dict[Any, int] = {}
     try:
-        outstanding = {
-            pool.submit(_run_batch, shm.name, nbytes, batch, env)
-            for batch in _dispatch_batches(len(work), workers)}
-        while outstanding:
-            finished, outstanding = wait(outstanding,
-                                         return_when=FIRST_COMPLETED)
-            for future in finished:
-                try:
-                    rows = future.result()
-                except BrokenProcessPool:
-                    continue  # survivors handled by the retry pass
-                for i, result, wall in rows:
-                    merge(i, result, wall)
+        for i in range(len(work)):
+            futures[submit(i)] = i
     except BrokenProcessPool:
-        pass  # fall through to the retry pass
-    finally:
-        shm.close()
-        shm.unlink()
+        pass  # a worker died mid-submission; the retry pass takes the rest
+    for future in as_completed(futures):
+        try:
+            merge(futures[future], *future.result())
+        except BrokenProcessPool:
+            pass  # handled by the retry pass
 
-    remaining = [i for i in range(len(work)) if i not in completed]
+    remaining = [i for i, (key, _spec) in enumerate(work)
+                 if key not in produced]
     if not remaining:
         return
-    if _POOL is None or getattr(_POOL, "_broken", False):
-        shutdown_pool()
+    shutdown_pool()  # only a broken pool leaves work behind
     quarantined: List[str] = []
     for i in remaining:
         key, spec = work[i]
         for attempt in range(1, MAX_WORKER_RETRIES + 1):
-            pool = _ensure_pool(workers)
-            shm, nbytes = _publish_plan(([spec], [run_id_of(key)]))
             try:
-                rows = pool.submit(_run_batch, shm.name, nbytes,
-                                   [0], env).result()
-                merge(i, rows[0][1], rows[0][2])
+                merge(i, *submit(i).result())
                 break
             except BrokenProcessPool:
                 shutdown_pool()
-                if on_worker_crash is not None:
-                    on_worker_crash(
-                        key, spec,
-                        f"worker process died (isolated attempt "
-                        f"{attempt}/{MAX_WORKER_RETRIES})")
-            finally:
-                shm.close()
-                shm.unlink()
+                on_worker_crash(
+                    key, spec,
+                    f"worker process died (isolated attempt "
+                    f"{attempt}/{MAX_WORKER_RETRIES})")
         else:
             quarantined.append(_spec_label(spec))
     if quarantined:
@@ -639,8 +564,7 @@ def execute_plan(plan: RunPlan, *, jobs: Optional[int] = None,
     try:
         if pooled:
             _execute_pooled(work, run_id_of, produced, walls,
-                            progress_done, workers,
-                            on_worker_crash=on_worker_crash)
+                            progress_done, workers, on_worker_crash)
         else:
             for key, spec in work:
                 produced[key], walls[key] = _run_spec(spec,

@@ -1,14 +1,13 @@
 """Drift-detecting reproducibility reports: ``repro-harness report``.
 
-The repository commits three kinds of numeric artifacts whose
+The repository commits two kinds of simulated-number artifacts whose
 credibility rests on being regenerable: the golden speedup pins
-(``tests/golden/speedups.json``), per-figure data goldens
-(``tests/golden/figures.json``), and the ``BENCH_*.json`` wall-clock
-reports.  This module is the single pass that regenerates them
-through the ambient :func:`~repro.harness.parallel.run_context` —
-cache + ledger + pool — and fails loudly with a structured
-:class:`Drift` diff when a regenerated number no longer matches what
-is committed.
+(``tests/golden/speedups.json``) and per-figure data goldens
+(``tests/golden/figures.json``).  This module is the single pass that
+regenerates them through the ambient
+:func:`~repro.harness.parallel.run_context` — cache + ledger + pool —
+and fails loudly with a structured :class:`Drift` diff when a
+regenerated number no longer matches what is committed.
 
 Because every run flows through the content-addressed cache and
 appends a provenance-ledger record, the pass is *resumable*: a killed
@@ -17,11 +16,10 @@ ledger shows exactly which numbers were simulated afresh versus
 served (``path="miss"``/``"hit"``), by which code version, on which
 host.
 
-Wall-clock BENCH files cannot be re-timed deterministically, so for
-them the report checks *comparability* instead of values: every
-``BENCH_*.json`` must carry the shared ``meta`` stamp
-(:func:`benchmarks._common.bench_meta` — host, code revision,
-versions) without which cross-machine comparison is meaningless.
+Claims *about* the simulated numbers are stated and gated by
+``repro-harness validate`` (:mod:`repro.harness.validate`); host
+wall-clock time is measured by ``benchmarks/e2e``.  Neither is this
+module's business.
 
 ``--write`` regenerates the committed goldens in place (the sanctioned
 way to bless an intended behaviour change); at bench scale it also
@@ -31,7 +29,6 @@ EXPERIMENTS.md, so figure text, goldens, and ledger stay one story.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 from dataclasses import dataclass, field
@@ -55,10 +52,6 @@ DEFAULT_FIGURES = ("fig3", "fig6")
 
 GOLDEN_SPEEDUPS = os.path.join("tests", "golden", "speedups.json")
 GOLDEN_FIGURES = os.path.join("tests", "golden", "figures.json")
-
-#: BENCH meta keys without which files are not comparable across
-#: machines (see benchmarks/_common.py:bench_meta).
-BENCH_META_KEYS = ("host", "code", "repro_version", "generated_utc")
 
 
 # ======================================================================
@@ -222,32 +215,6 @@ def _check_artifact(outcome: ReportOutcome, artifact: str,
     log(f"[report] {artifact}: {status}")
 
 
-def check_bench_meta(root: str = ".",
-                     log: Callable[[str], None] = print
-                     ) -> List[Drift]:
-    """Every BENCH_*.json must carry the shared provenance stamp."""
-    drifts: List[Drift] = []
-    for path in sorted(glob.glob(os.path.join(root, "BENCH_*.json"))):
-        name = os.path.basename(path)
-        doc = _load_json(path)
-        if not isinstance(doc, dict):
-            drifts.append(Drift(name, "<file>", "valid JSON object",
-                                None))
-            continue
-        meta = doc.get("meta")
-        if not isinstance(meta, dict):
-            drifts.append(Drift(name, "meta",
-                                "bench_meta() stamp", None))
-            continue
-        for key in BENCH_META_KEYS:
-            if key not in meta:
-                drifts.append(Drift(name, f"meta.{key}",
-                                    "<present>", None))
-    log(f"[report] BENCH metadata: "
-        f"{'ok' if not drifts else f'{len(drifts)} drift(s)'}")
-    return drifts
-
-
 def run_report(*, figures: Sequence[str] = DEFAULT_FIGURES,
                scale: Scale = Scale.TEST,
                root: str = ".",
@@ -299,10 +266,6 @@ def run_report(*, figures: Sequence[str] = DEFAULT_FIGURES,
         committed = (scale_block or {}).get(exp_id)
         _check_artifact(outcome, artifact, committed,
                         current_figures[exp_id], log)
-
-    # -- BENCH comparability stamps -------------------------------------
-    outcome.artifacts.append("BENCH_*.json meta")
-    outcome.drifts.extend(check_bench_meta(root, log))
 
     # -- bench-scale write mode: figure text + EXPERIMENTS.md -----------
     if write and scale is Scale.BENCH:

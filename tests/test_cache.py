@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import shutil
 
 import pytest
 
@@ -134,6 +136,41 @@ def test_cache_tolerates_corrupt_entry(tmp_path, cached_run):
     assert cache.get(key) is None
     cache.put(key, result)                 # overwrite repairs it
     assert cache.get(key).summary() == result.summary()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[:len(text) // 2],              # torn write
+    lambda text: "[1, 2, 3]",                        # not an object
+    lambda text: "null",
+    lambda text: json.dumps({**json.loads(text), "key": "0" * 64}),
+    lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                             if k != "key"}),
+], ids=["truncated", "list", "null", "mis-keyed", "unkeyed"])
+def test_cache_damaged_entry_is_a_miss_and_put_repairs(tmp_path,
+                                                       cached_run, damage):
+    key, result = cached_run
+    cache = ResultCache(str(tmp_path))
+    cache.put(key, result)
+    path = cache.path_for(key)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(damage(text))
+    assert cache.get(key) is None
+    cache.put(key, result)
+    assert cache.get(key).summary() == result.summary()
+
+
+def test_cache_entry_copied_to_another_key_is_a_miss(tmp_path, cached_run):
+    """An entry is served only for the key it was stored under."""
+    key, result = cached_run
+    cache = ResultCache(str(tmp_path))
+    cache.put(key, result)
+    other = key[::-1]
+    os.makedirs(os.path.dirname(cache.path_for(other)), exist_ok=True)
+    shutil.copy(cache.path_for(key), cache.path_for(other))
+    assert cache.get(other) is None
+    assert cache.get(key) is not None
 
 
 def test_default_cache_dir_env(monkeypatch):

@@ -1,8 +1,12 @@
 """Harness: registry completeness, formatting, workloads, CLI."""
 
 import dataclasses
+import importlib
+import os
 
 import pytest
+
+import repro
 
 from repro.errors import ConfigurationError
 from repro.harness import fmt
@@ -201,3 +205,18 @@ def test_cli_ablate_is_run_ablation_sweep_at_test_scale(capsys,
     # The alias takes only its own experiment's flags.
     with pytest.raises(SystemExit):
         build_parser().parse_args(["ablate", "--sync-lock", "mcs"])
+
+
+def test_pyproject_takes_its_version_from_the_package():
+    """One version string: ``repro.__version__`` (stamped into every
+    ledger record) is what packaging reports, not a second literal."""
+    tomllib = pytest.importorskip("tomllib")        # Python 3.11+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        doc = tomllib.load(fh)
+    assert "version" not in doc["project"]
+    assert doc["project"]["dynamic"] == ["version"]
+    module, attr = doc["tool"]["setuptools"]["dynamic"]["version"][
+        "attr"].rsplit(".", 1)
+    assert getattr(importlib.import_module(module), attr) == \
+        repro.__version__

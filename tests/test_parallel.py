@@ -149,9 +149,9 @@ def test_effective_workers_clamps_to_cores_and_work(monkeypatch):
 
 
 def test_forced_pool_matches_serial_and_stays_warm(monkeypatch):
-    """Exercise the real pool machinery (shared-memory plan blob,
-    batched dispatch, warm reuse, env re-ship) even on 1-CPU CI by
-    pretending the box has cores, and pin result identity."""
+    """Exercise the real pool machinery (one future per spec, warm
+    reuse, env re-ship) even on 1-CPU CI by pretending the box has
+    cores, and pin result identity."""
     monkeypatch.setattr(parallel, "_cpu_count", lambda: 4)
     app = make_app("sor_small", Scale.TEST)
     plan = RunPlan()
@@ -169,13 +169,6 @@ def test_forced_pool_matches_serial_and_stays_warm(monkeypatch):
     finally:
         shutdown_pool()
     assert parallel._POOL is None
-
-
-def test_dispatch_batches_cover_work_exactly_once():
-    batches = parallel._dispatch_batches(11, 2)
-    assert len(batches) <= 8
-    flat = sorted(i for batch in batches for i in batch)
-    assert flat == list(range(11))
 
 
 def test_run_context_ambient():
