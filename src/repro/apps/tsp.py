@@ -56,9 +56,41 @@ IDLE_BACKOFF_MAX_CYCLES = 1_000_000
 #: unsynchronized global bound (§2.4.3).
 BOUND_POLL_EXPANSIONS = 200
 
-Tour = Tuple[Tuple[int, ...], float]
+#: A search node: tour prefix, its length, the bitmask of the cities
+#: on it, and its lower bound (computed once, when the node is made).
+Node = Tuple[Tuple[int, ...], float, int, float]
 
-#: Distance tables as plain Python lists, keyed by (cities, seed).
+#: The one node no parent bounded, so it carries the trivial bound: its
+#: only pop is the first of a search, against a bound of infinity, where
+#: 0.0 decides what the min-edge bound would — expand.
+ROOT: Node = ((0,), 0.0, 1, 0.0)
+
+
+class _FreeSums(Dict[int, float]):
+    """``min_edge`` summed over the cities *outside* a visited bitmask.
+
+    Filled on first use of a mask, so it holds only masks the search
+    reached.  Each entry is accumulated in ascending city order from
+    0.0, left to right — the addition order of the per-call scan this
+    memo replaces — so it removes recomputation without reordering any
+    float arithmetic (DESIGN.md).
+    """
+
+    def __init__(self, min_edge: List[float]) -> None:
+        super().__init__()
+        self.min_edge = min_edge
+
+    def __missing__(self, mask: int) -> float:
+        total = 0.0
+        for city, edge in enumerate(self.min_edge):
+            if not mask >> city & 1:
+                total += edge
+        self[mask] = total
+        return total
+
+
+#: Per-instance tables keyed by (cities, seed): distance matrix and
+#: min-edge vector as plain Python lists, plus the free-sum memo.
 #: The bound computation is the simulation's hottest Python code;
 #: indexing numpy scalars out of tiny arrays costs several times the
 #: arithmetic itself.  ``ndarray.tolist`` is value-exact and numpy's
@@ -66,7 +98,7 @@ Tour = Tuple[Tuple[int, ...], float]
 #: float accumulation bit-for-bit, so swapping the tables changes no
 #: pruning decision and no simulated cycle (pinned by the goldens).
 _TABLE_CACHE: Dict[Tuple[int, int],
-                   Tuple[List[List[float]], List[float]]] = {}
+                   Tuple[List[List[float]], List[float], _FreeSums]] = {}
 
 #: Memoized sequential re-solves, same key.  ``verify`` needs the
 #: sequential optimum after every run of an instance, and the
@@ -115,7 +147,7 @@ class TspApp(Application):
         ctx.store.view("tsp_dist", np.float64)[: dist.size] = dist.ravel()
         # Shared run state that models the queue contents; all access
         # is serialized by the simulated queue lock.
-        ctx.params["_queue"] = [((0,), 0.0)]
+        ctx.params["_queue"] = [ROOT]
         ctx.params["_active"] = 0
         # Which workers currently hold a popped-but-unretired item;
         # crash recovery uses this to keep the active count honest
@@ -130,65 +162,53 @@ class TspApp(Application):
         np.fill_diagonal(masked, np.inf)
         return masked.min(axis=1)
 
-    def _tables(self) -> Tuple[List[List[float]], List[float]]:
-        """The (distance matrix, min-edge vector) as Python lists."""
+    def _tables(self) -> Tuple[List[List[float]], List[float], _FreeSums]:
+        """The (distance matrix, min-edge vector, free-sum memo)."""
         key = (self.cities, self.coord_seed)
         tables = _TABLE_CACHE.get(key)
         if tables is None:
             dist = self._distances()
-            tables = (dist.tolist(), self._min_edges(dist).tolist())
+            min_edge = self._min_edges(dist).tolist()
+            tables = (dist.tolist(), min_edge, _FreeSums(min_edge))
             _TABLE_CACHE[key] = tables
         return tables
 
-    def _lower_bound(self, dist: List[List[float]],
-                     min_edge: List[float],
-                     prefix: Tuple[int, ...], length: float) -> float:
-        # Accumulates min_edge over the cities outside ``prefix`` in
-        # ascending order — the exact addition order of the numpy
-        # fancy-index + sequential-reduce formulation this replaces.
-        total = 0.0
-        free = 0
-        for c in range(self.cities):
-            if c not in prefix:
-                total += min_edge[c]
-                free += 1
-        if not free:
-            return length + dist[prefix[-1]][prefix[0]]
-        return length + total + min_edge[prefix[0]]
+    def _search(self, stack: List[Node], best: float,
+                limit: float) -> Tuple[int, float, Tuple[int, ...]]:
+        """The depth-first loop: pop at most ``limit`` nodes off ``stack``.
 
-    def _solve_local(self, dist: List[List[float]],
-                     min_edge: List[float],
-                     prefix: Tuple[int, ...], length: float,
-                     bound: float) -> Tuple[int, float, Tuple[int, ...]]:
-        """Depth-first solve of a small subproblem against ``bound``.
-
-        Returns (expansions, best length found, best tour found).
+        A popped node that beats ``best`` either is a complete tour
+        (its bound is its length: the new best) or is replaced by its
+        children that beat ``best``, in ascending city order.  Returns
+        (nodes popped, best length, best tour found or ``()``).
         """
-        expansions = 0
-        best = bound
-        best_tour: Tuple[int, ...] = ()
-        stack = [(prefix, length)]
-        while stack:
-            pfx, plen = stack.pop()
-            expansions += 1
-            if len(pfx) == self.cities:
-                total = plen + dist[pfx[-1]][pfx[0]]
-                if total < best:
-                    best = total
-                    best_tour = pfx
+        dist, min_edge, free_sum = self._tables()
+        bits = [(city, 1 << city) for city in range(self.cities)]
+        full = (1 << self.cities) - 1
+        popped = 0
+        tour: Tuple[int, ...] = ()
+        while stack and popped < limit:
+            prefix, length, mask, bound = stack.pop()
+            popped += 1
+            if bound >= best:
                 continue
-            if self._lower_bound(dist, min_edge, pfx, plen) >= best:
+            if mask == full:
+                best, tour = bound, prefix
                 continue
-            last = pfx[-1]
-            row = dist[last]
-            for city in range(self.cities):
-                if city in pfx:
+            first = prefix[0]
+            row = dist[prefix[-1]]
+            for city, bit in bits:
+                if mask & bit:
                     continue
-                nlen = plen + row[city]
-                child = pfx + (city,)
-                if self._lower_bound(dist, min_edge, child, nlen) < best:
-                    stack.append((child, nlen))
-        return expansions, best, best_tour
+                nlen = length + row[city]
+                nmask = mask | bit
+                if nmask == full:
+                    nbound = nlen + dist[city][first]
+                else:
+                    nbound = nlen + free_sum[nmask] + min_edge[first]
+                if nbound < best:
+                    stack.append((prefix + (city,), nlen, nmask, nbound))
+        return popped, best, tour
 
     # ------------------------------------------------------------------
     def programs(self, ctx: AppContext) -> List[Program]:
@@ -196,8 +216,7 @@ class TspApp(Application):
         return [self._worker(ctx, p) for p in range(ctx.nprocs)]
 
     def _worker(self, ctx: AppContext, proc: int) -> Program:
-        dist, min_edge = self._tables()
-        queue: List[Tour] = ctx.params["_queue"]
+        queue: List[Node] = ctx.params["_queue"]
 
         working = False
         backoff = IDLE_BACKOFF_MIN_CYCLES
@@ -220,7 +239,7 @@ class TspApp(Application):
                 backoff = min(backoff * 2, IDLE_BACKOFF_MAX_CYCLES)
                 continue
             backoff = IDLE_BACKOFF_MIN_CYCLES
-            prefix, length = queue.pop()
+            node = queue.pop()
             ctx.params["_active"] += 1
             ctx.params["_working"][proc] = True
             working = True
@@ -228,36 +247,22 @@ class TspApp(Application):
             yield ops.Read("tsp_queue", slot * SLOT_BYTES, SLOT_BYTES)
             yield ops.Release(QUEUE_LOCK)
 
+            # Either path pops ``node`` through the search kernel, which
+            # charges a node the visible bound already prunes as one
+            # expansion and goes no further.
             visible = yield ops.ReadBound()
-            pruned = self._lower_bound(dist, min_edge, prefix,
-                                       length) >= visible
-            free = self.cities - len(prefix)
-
-            if pruned:
-                ctx.params["_expansions"][proc] += 1
-                yield ops.Compute(CYCLES_PER_EXPANSION)
-            elif free <= self.leaf_cutoff:
-                yield from self._finish_subproblem(
-                    ctx, proc, dist, min_edge, prefix, length, visible)
+            if self.cities - len(node[0]) <= self.leaf_cutoff:
+                yield from self._finish_subproblem(ctx, proc, node, visible)
             else:
-                yield from self._expand(ctx, proc, dist, min_edge, prefix,
-                                        length, visible, queue)
+                yield from self._expand(ctx, proc, node, visible, queue)
 
         ctx.output[f"expansions_p{proc}"] = ctx.params["_expansions"][proc]
 
-    def _expand(self, ctx: AppContext, proc: int, dist, min_edge, prefix,
-                length, visible, queue) -> Program:
-        """Push every viable child of ``prefix`` back to the queue."""
-        last = prefix[-1]
-        row = dist[last]
-        children = []
-        for city in range(self.cities):
-            if city in prefix:
-                continue
-            nlen = length + row[city]
-            child = prefix + (city,)
-            if self._lower_bound(dist, min_edge, child, nlen) < visible:
-                children.append((child, nlen))
+    def _expand(self, ctx: AppContext, proc: int, node: Node,
+                visible: float, queue: List[Node]) -> Program:
+        """Push every viable child of ``node`` back to the queue."""
+        children = [node]
+        self._search(children, visible, 1)  # one step: node -> children
         ctx.params["_expansions"][proc] += max(1, len(children))
         yield ops.Compute(CYCLES_PER_EXPANSION * max(1, len(children)))
         if children:
@@ -273,9 +278,8 @@ class TspApp(Application):
             yield writes[0] if len(writes) == 1 else ops.OpBlock(writes)
             yield ops.Release(QUEUE_LOCK)
 
-    def _finish_subproblem(self, ctx: AppContext, proc: int, dist,
-                           min_edge, prefix, length,
-                           visible) -> Program:
+    def _finish_subproblem(self, ctx: AppContext, proc: int, node: Node,
+                           visible: float) -> Program:
         """Depth-first solve of a leaf subproblem, in chunks.
 
         Every ``BOUND_POLL_EXPANSIONS`` search nodes the worker
@@ -287,45 +291,19 @@ class TspApp(Application):
         redundant nodes — the §2.4.3 effect.
         """
         best = visible
-        pending: float = math.inf
-        stack = [(prefix, length)]
-        chunk = 0
+        stack = [node]
         while True:
-            while stack and chunk < BOUND_POLL_EXPANSIONS:
-                pfx, plen = stack.pop()
-                chunk += 1
-                if len(pfx) == self.cities:
-                    total = plen + dist[pfx[-1]][pfx[0]]
-                    if total < best:
-                        best = total
-                        pending = total
-                        ctx.params.setdefault("_tours", {})[total] = pfx
-                    continue
-                if self._lower_bound(dist, min_edge, pfx, plen) >= best:
-                    continue
-                last = pfx[-1]
-                row = dist[last]
-                for city in range(self.cities):
-                    if city in pfx:
-                        continue
-                    nlen = plen + row[city]
-                    child = pfx + (city,)
-                    if self._lower_bound(dist, min_edge, child,
-                                         nlen) < best:
-                        stack.append((child, nlen))
-
+            chunk, best, tour = self._search(stack, best,
+                                             BOUND_POLL_EXPANSIONS)
             ctx.params["_expansions"][proc] += chunk
             yield ops.Compute(chunk * CYCLES_PER_EXPANSION)
-            chunk = 0
-            if pending < math.inf:
+            if tour:
                 yield ops.Acquire(BOUND_LOCK)
-                improved = yield ops.UpdateBound(float(pending))
+                improved = yield ops.UpdateBound(best)
                 if improved:
-                    ctx.params["_best_tour"] = \
-                        ctx.params["_tours"][pending]
+                    ctx.params["_best_tour"] = tour
                     yield ops.Write("tsp_bound", 0, 8)
                 yield ops.Release(BOUND_LOCK)
-                pending = math.inf
             if not stack:
                 break
             fresh = yield ops.ReadBound()
@@ -360,11 +338,11 @@ class TspApp(Application):
         *valid* tour no better than the true optimum — crash-stop
         failures lose work, they must never invent a shorter tour.
         """
-        dist, min_edge = self._tables()
+        dist = self._tables()[0]
         key = (self.cities, self.coord_seed)
         solved = _SEQ_SOLVE_CACHE.get(key)
         if solved is None:
-            solved = self._solve_local(dist, min_edge, (0,), 0.0, math.inf)
+            solved = self._search([ROOT], math.inf, math.inf)
             _SEQ_SOLVE_CACHE[key] = solved
         expansions, best, tour = solved
         degraded = bool(ctx.params.get("_failed_nodes"))
