@@ -32,7 +32,7 @@ the parent rather than the manager; interval bytes are what they are
 regardless of the hop that carries them.
 
 Crash-stop recovery (:mod:`repro.recover`): when a node is declared
-dead, :meth:`DsmBarrierBase.remove_node` shrinks membership from n to
+dead, :meth:`BarrierManager.remove_node` shrinks membership from n to
 n−1.  Completion becomes set-based (*every surviving node has
 arrived*), open episodes are re-checked immediately, and all
 algorithms degrade to central-style routing through the (possibly
@@ -82,20 +82,20 @@ class _Episode:
     up: Dict[int, int] = field(default_factory=dict)  # tree up-counters
 
 
-class DsmBarrierBase:
-    """Shared machinery of all DSM barrier algorithms.
+class BarrierManager:
+    """The paper's centralized barrier (one manager node for all).
 
-    Episode bookkeeping, double-arrival detection, the global
-    consistency merge at completion, and departure dispatch are
-    common; subclasses implement :meth:`_on_arrival` (how an arrival
-    propagates) and completion triggers :meth:`_release` (how
-    departures propagate).  After any crash-stop failure
-    (:meth:`remove_node`) the base class takes over routing entirely:
-    arrivals and departures flow central-style through the current
-    manager regardless of algorithm.
+    Also the shared machinery of every DSM barrier algorithm — episode
+    bookkeeping, double-arrival detection, the global consistency
+    merge at completion, idempotent departure delivery, crash repair —
+    and the one definition of central routing: :meth:`_on_arrival`
+    (arrival → manager) and :meth:`_release` (manager → each
+    survivor).  ``tree`` and ``combining`` override how those two
+    propagate and fall back to this class's versions after any
+    crash-stop failure (:meth:`remove_node`).
     """
 
-    algorithm = "base"
+    algorithm = "central"
 
     def __init__(self, net, num_nodes: int, *,
                  manager_node: int = 0,
@@ -103,7 +103,8 @@ class DsmBarrierBase:
                  depart_payload: Callable[[int], int],
                  on_all_arrived: Callable[[], None],
                  on_depart: Callable[[int], None],
-                 local_cycles: int = 100) -> None:
+                 local_cycles: int = 100,
+                 combiner=None, tree_radix: int = 4) -> None:
         self.net = net
         self.num_nodes = num_nodes
         self.manager_node = manager_node
@@ -112,6 +113,8 @@ class DsmBarrierBase:
         self.on_all_arrived = on_all_arrived
         self.on_depart = on_depart
         self.local_cycles = local_cycles
+        self.combiner = combiner
+        self.tree_radix = tree_radix
         self._episodes: Dict[int, _Episode] = {}
         self._counts: Dict[int, int] = {}
         #: Episodes that completed but whose departure wave may still
@@ -146,21 +149,18 @@ class DsmBarrierBase:
             tracer.instant(node, Category.SYNC, "barrier_arrive",
                            engine.now, track=f"node{node}.dsm",
                            barrier=barrier_id, episode=episode.index)
-        if self.dead:
-            self._degraded_arrival(barrier_id, episode, node)
-        else:
-            self._on_arrival(barrier_id, episode, node)
+        self._on_arrival(barrier_id, episode, node)
 
     def _on_arrival(self, barrier_id: int, episode: _Episode,
                     node: int) -> None:
-        raise NotImplementedError
-
-    def _degraded_arrival(self, barrier_id: int, episode: _Episode,
-                          node: int) -> None:
-        """Post-failure arrival: central-style to the current manager."""
+        """Central routing: an arrival travels to the current manager."""
         if node == self.manager_node:
             self._arrived(barrier_id, episode, node)
-            return
+        else:
+            self._send_arrival(barrier_id, episode, node)
+
+    def _send_arrival(self, barrier_id: int, episode: _Episode,
+                      node: int) -> None:
         self.net.send(node, self.manager_node, self.arrive_payload(node),
                       kind=MsgKind.BARRIER_ARRIVE,
                       data_kind=DataKind.CONSISTENCY,
@@ -200,26 +200,20 @@ class DsmBarrierBase:
                 f"barrier{barrier_id}#{episode.index}",
                 episode.first_arrival, engine.now, track="barrier",
                 nodes=self.num_nodes - len(self.dead))
-        if self.dead:
-            self._release_degraded(episode)
-        else:
-            self._release(episode)
+        self._release(episode)
 
     def _release(self, episode: _Episode) -> None:
-        raise NotImplementedError
-
-    def _release_degraded(self, episode: _Episode) -> None:
-        """Post-failure departure wave: manager to each survivor."""
+        """Central routing: the manager departs each survivor."""
         for dst, done in episode.waiting.items():
             if dst in self.dead:
                 continue
             if dst == self.manager_node:
                 self._local_depart(episode, dst, done)
             else:
-                self._send_depart_from_manager(episode, dst, done)
+                self._send_depart(episode, dst, done)
 
-    def _send_depart_from_manager(self, episode: _Episode, dst: int,
-                                  done: DepartCallback) -> None:
+    def _send_depart(self, episode: _Episode, dst: int,
+                     done: DepartCallback) -> None:
         """One departure message from the current manager to ``dst``."""
         self.net.send(self.manager_node, dst, self.depart_payload(dst),
                       kind=MsgKind.BARRIER_DEPART,
@@ -301,7 +295,7 @@ class DsmBarrierBase:
             if (dst in self.dead or dst in episode.departed
                     or dead_node not in self._depart_path(episode, dst)):
                 continue
-            self._send_depart_from_manager(episode, dst, done)
+            self._send_depart(episode, dst, done)
             resent = True
         self._maybe_retire(episode)
         return resent
@@ -311,46 +305,6 @@ class DsmBarrierBase:
         included, ``dst`` excluded); a crash on this path may have
         lost the departure."""
         return {episode.release_src}
-
-
-class BarrierManager(DsmBarrierBase):
-    """The paper's centralized barrier (one manager node for all)."""
-
-    algorithm = "central"
-
-    def _on_arrival(self, barrier_id: int, episode: _Episode,
-                    node: int) -> None:
-        if node == self.manager_node:
-            self._arrived(barrier_id, episode, node)
-        else:
-            self._send_arrival(barrier_id, episode, node)
-
-    def _send_arrival(self, barrier_id: int, episode: _Episode,
-                      node: int) -> None:
-        self.net.send(node, self.manager_node,
-                      self.arrive_payload(node),
-                      kind=MsgKind.BARRIER_ARRIVE,
-                      data_kind=DataKind.CONSISTENCY,
-                      on_delivered=lambda _t:
-                      self._arrived(barrier_id, episode, node))
-
-    def _release(self, episode: _Episode) -> None:
-        for dst, done in episode.waiting.items():
-            if dst in self.dead:
-                continue
-            if dst == self.manager_node:
-                self._local_depart(episode, dst, done)
-            else:
-                self._send_depart(episode, dst, done)
-
-    def _send_depart(self, episode: _Episode, dst: int,
-                     done: DepartCallback) -> None:
-        self.net.send(self.manager_node, dst,
-                      self.depart_payload(dst),
-                      kind=MsgKind.BARRIER_DEPART,
-                      data_kind=DataKind.CONSISTENCY,
-                      on_delivered=lambda t, d=dst, cb=done:
-                      self._episode_depart(episode, d, cb, t))
 
 
 class CombiningBarrier(BarrierManager):
@@ -366,15 +320,16 @@ class CombiningBarrier(BarrierManager):
 
     algorithm = "combining"
 
-    def __init__(self, *args, combiner=None, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if combiner is None:
+        if self.combiner is None:
             raise ConfigurationError(
                 "combining barrier needs a SwitchCombiner (combiner=...)")
-        self.combiner = combiner
 
     def _send_arrival(self, barrier_id: int, episode: _Episode,
                       node: int) -> None:
+        if self.dead:  # a fabric aimed at a dead home is not sound
+            return super()._send_arrival(barrier_id, episode, node)
         self.combiner.fan_in(node, self.manager_node,
                              self.arrive_payload(node),
                              kind=MsgKind.BARRIER_ARRIVE,
@@ -384,6 +339,8 @@ class CombiningBarrier(BarrierManager):
 
     def _send_depart(self, episode: _Episode, dst: int,
                      done: DepartCallback) -> None:
+        if self.dead:
+            return super()._send_depart(episode, dst, done)
         self.combiner.fan_out(self.manager_node, dst,
                               self.depart_payload(dst),
                               kind=MsgKind.BARRIER_DEPART,
@@ -392,7 +349,7 @@ class CombiningBarrier(BarrierManager):
                               self._episode_depart(episode, d, cb, t))
 
 
-class TreeBarrier(DsmBarrierBase):
+class TreeBarrier(BarrierManager):
     """Software combining tree (MCS-style tournament) barrier.
 
     Nodes form a static radix-``tree_radix`` tree rooted at the
@@ -406,12 +363,11 @@ class TreeBarrier(DsmBarrierBase):
 
     algorithm = "tree"
 
-    def __init__(self, *args, tree_radix: int = 4, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if tree_radix < 2:
+        if self.tree_radix < 2:
             raise ConfigurationError(
-                f"tree barrier radix must be >= 2, got {tree_radix}")
-        self.tree_radix = tree_radix
+                f"tree barrier radix must be >= 2, got {self.tree_radix}")
 
     # -- static topology ------------------------------------------------
     def _node_of(self, li: int, root: int) -> int:
@@ -428,6 +384,8 @@ class TreeBarrier(DsmBarrierBase):
     # -- up phase --------------------------------------------------------
     def _on_arrival(self, barrier_id: int, episode: _Episode,
                     node: int) -> None:
+        if self.dead:  # a tree with a dead internal node is not sound
+            return super()._on_arrival(barrier_id, episode, node)
         self._up_tick(barrier_id, episode,
                       self._index_of(node, self.manager_node))
 
@@ -440,9 +398,7 @@ class TreeBarrier(DsmBarrierBase):
             return
         if li == 0:
             # The root has its whole tree: all members arrived.
-            root = self.manager_node
-            for member in range(self.num_nodes):
-                episode.arrived_nodes.add(member)
+            episode.arrived_nodes.update(range(self.num_nodes))
             self._check_complete(barrier_id, episode)
             return
         parent = (li - 1) // self.tree_radix
@@ -457,6 +413,8 @@ class TreeBarrier(DsmBarrierBase):
 
     # -- down phase ------------------------------------------------------
     def _release(self, episode: _Episode) -> None:
+        if self.dead:
+            return super()._release(episode)
         self._wave(episode, 0)
         root = self._node_of(0, episode.release_src)
         self._local_depart(episode, root, episode.waiting[root])
@@ -500,17 +458,12 @@ DSM_BARRIER_IMPLS: Dict[str, type] = {
 }
 
 
-def make_dsm_barrier(algorithm: str, net, num_nodes: int, *,
-                     combiner=None, tree_radix: int = 4,
-                     **kwargs) -> DsmBarrierBase:
+def make_dsm_barrier(algorithm: str, net, num_nodes: int,
+                     **kwargs) -> BarrierManager:
     """Build the DSM barrier for ``algorithm`` (see DSM_BARRIER_IMPLS)."""
     impl = DSM_BARRIER_IMPLS.get(algorithm)
     if impl is None:
         raise ConfigurationError(
             f"unknown DSM barrier algorithm '{algorithm}' "
             f"(known: {', '.join(DSM_BARRIER_IMPLS)})")
-    if algorithm == "tree":
-        return impl(net, num_nodes, tree_radix=tree_radix, **kwargs)
-    if algorithm == "combining":
-        return impl(net, num_nodes, combiner=combiner, **kwargs)
     return impl(net, num_nodes, **kwargs)

@@ -14,10 +14,6 @@ from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.dsm.vectorclock import VectorClock
 
-WRITE_NOTICE_BYTES = 12
-"""Wire size of one *uncompressed* write notice (page id + creator +
-interval index); used for per-notice statistics."""
-
 INTERVAL_HEADER_BYTES = 8
 """Wire size of one interval record (creator + index)."""
 

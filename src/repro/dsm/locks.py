@@ -108,9 +108,11 @@ class DsmLocks:
     * ``on_granted(to_node, from_node)`` applying those notices, and
     * ``local_grant_cycles`` for token-resident acquisitions.
 
-    Subclasses implement :meth:`_remote_acquire` (how a request finds
-    the current holder/queue) and may override :meth:`_after_release`
-    (how the releaser learns its successor).
+    Every remote acquire is :meth:`_request_home` (request → the
+    lock's home); subclasses implement :meth:`_at_home` (how the home
+    finds the current holder/queue, usually :meth:`_forward`) and may
+    override :meth:`_after_release` (how the releaser learns its
+    successor) and :meth:`_send_home` (the home-bound transport).
     """
 
     algorithm = "base"
@@ -182,17 +184,50 @@ class DsmLocks:
             rec.queue.append(waiter)
             return
 
-        # Remote path: algorithm-specific routing to the holder/queue.
+        # Remote path: to the home, then algorithm-specific routing.
         self.net.counters.remote_lock_acquires += 1
         tracer = engine.tracer
         if tracer.enabled:
             tracer.instant(node, Category.SYNC, "lock_request",
                            engine.now, track=f"node{node}.dsm",
                            lock=lock_id)
-        self._remote_acquire(rec, waiter)
+        self._request_home(rec, waiter)
 
-    def _remote_acquire(self, rec: LockRecord, waiter: _Waiter) -> None:
+    def _request_home(self, rec: LockRecord, waiter: _Waiter) -> None:
+        """Request → the lock's home, where :meth:`_at_home` decides.
+
+        Every remote acquire of every algorithm starts here, so every
+        one is re-routed (:meth:`_reroute`) if the home is declared
+        dead with the request on the wire.
+        """
+        self._send_home(waiter.node, rec, MsgKind.LOCK_REQUEST, "lock",
+                        lambda _t: self._at_home(rec, waiter),
+                        lambda _t: self._reroute(rec, waiter))
+
+    def _send_home(self, src: int, rec: LockRecord, kind: MsgKind,
+                   tag: str, on_delivered: Callable[[int], None],
+                   on_abandoned: Optional[Callable[[int], None]] = None
+                   ) -> None:
+        """Transport of home-bound traffic (``tag`` names the flow)."""
+        self.net.send(src, rec.manager, self.request_payload_bytes,
+                      kind=kind, data_kind=DataKind.CONSISTENCY,
+                      on_delivered=on_delivered, on_abandoned=on_abandoned)
+
+    def _at_home(self, rec: LockRecord, waiter: _Waiter) -> None:
         raise NotImplementedError
+
+    def _forward(self, rec: LockRecord, waiter: _Waiter,
+                 target: int) -> None:
+        """Home → ``target``, the node the token rests at."""
+        if target == rec.manager:
+            self._enqueue_at_holder(rec, waiter)
+            return
+        self.net.send(rec.manager, target, self.request_payload_bytes,
+                      kind=MsgKind.LOCK_FORWARD,
+                      data_kind=DataKind.CONSISTENCY,
+                      on_delivered=lambda _t:
+                      self._enqueue_at_holder(rec, waiter),
+                      on_abandoned=lambda _t: self._reroute(rec, waiter))
 
     def _enqueue_at_holder(self, rec: LockRecord, waiter: _Waiter) -> None:
         if waiter.node in self.dead:
@@ -385,7 +420,7 @@ class DsmLocks:
         """
         if waiter.node in self.dead:
             return
-        self._remote_acquire(rec, waiter)
+        self._request_home(rec, waiter)
 
 
 class DistributedLocks(DsmLocks):
@@ -393,33 +428,11 @@ class DistributedLocks(DsmLocks):
 
     algorithm = "token"
 
-    def _remote_acquire(self, rec: LockRecord, waiter: _Waiter) -> None:
-        # Request -> manager -> probable owner.
-        self.net.send(waiter.node, rec.manager, self.request_payload_bytes,
-                      kind=MsgKind.LOCK_REQUEST,
-                      data_kind=DataKind.CONSISTENCY,
-                      on_delivered=lambda _t, r=rec, w=waiter:
-                      self._at_manager(r, w),
-                      on_abandoned=lambda _t, r=rec, w=waiter:
-                      self._reroute(r, w))
-
-    def _at_manager(self, rec: LockRecord, waiter: _Waiter) -> None:
+    def _at_home(self, rec: LockRecord, waiter: _Waiter) -> None:
+        # Manager -> probable owner (where the token was last sent).
         target = self._probable_owner[rec.lock_id]
         self._probable_owner[rec.lock_id] = waiter.node
-        if target == rec.manager:
-            self._enqueue_at_holder(rec, waiter)
-            return
-        self.net.send(rec.manager, target, self.request_payload_bytes,
-                      kind=MsgKind.LOCK_FORWARD,
-                      data_kind=DataKind.CONSISTENCY,
-                      on_delivered=lambda _t:
-                      self._enqueue_at_holder(rec, waiter),
-                      on_abandoned=lambda _t, r=rec, w=waiter:
-                      self._reroute(r, w))
-
-
-#: Back-compat alias: the token algorithm is the historical class.
-TokenLocks = DistributedLocks
+        self._forward(rec, waiter, target)
 
 
 class McsLocks(DsmLocks):
@@ -435,33 +448,14 @@ class McsLocks(DsmLocks):
 
     algorithm = "mcs"
 
-    def _remote_acquire(self, rec: LockRecord, waiter: _Waiter) -> None:
+    def _at_home(self, rec: LockRecord, waiter: _Waiter) -> None:
         # The swap on the tail pointer at the lock's home.
-        self.net.send(waiter.node, rec.manager, self.request_payload_bytes,
-                      kind=MsgKind.LOCK_REQUEST,
-                      data_kind=DataKind.CONSISTENCY,
-                      on_delivered=lambda _t, r=rec, w=waiter:
-                      self._swap_at_home(r, w),
-                      on_abandoned=lambda _t, r=rec, w=waiter:
-                      self._reroute(r, w))
-
-    def _swap_at_home(self, rec: LockRecord, waiter: _Waiter) -> None:
         if waiter.node in self.dead:
             return  # requester crashed while the swap was in flight
         if rec.available:
             # Lock at rest: the home redirects to the resting token,
             # exactly like the token algorithm's forward.
-            target = rec.token_node
-            if target == rec.manager:
-                self._enqueue_at_holder(rec, waiter)
-                return
-            self.net.send(rec.manager, target, self.request_payload_bytes,
-                          kind=MsgKind.LOCK_FORWARD,
-                          data_kind=DataKind.CONSISTENCY,
-                          on_delivered=lambda _t:
-                          self._enqueue_at_holder(rec, waiter),
-                          on_abandoned=lambda _t, r=rec, w=waiter:
-                          self._reroute(r, w))
+            self._forward(rec, waiter, rec.token_node)
             return
 
         # Busy: the swap appoints the previous tail as predecessor.
@@ -495,35 +489,13 @@ class TicketLocks(DsmLocks):
 
     algorithm = "ticket"
 
-    def _remote_acquire(self, rec: LockRecord, waiter: _Waiter) -> None:
-        self._send_take_ticket(rec, waiter)
-
-    def _send_take_ticket(self, rec: LockRecord, waiter: _Waiter) -> None:
-        self.net.send(waiter.node, rec.manager, self.request_payload_bytes,
-                      kind=MsgKind.LOCK_REQUEST,
-                      data_kind=DataKind.CONSISTENCY,
-                      on_delivered=lambda _t, r=rec, w=waiter:
-                      self._at_home(r, w),
-                      on_abandoned=lambda _t, r=rec, w=waiter:
-                      self._reroute(r, w))
-
     def _at_home(self, rec: LockRecord, waiter: _Waiter) -> None:
         if waiter.node in self.dead:
             return  # requester crashed while its ticket was in flight
         if rec.available:
-            target = rec.token_node
-            if target == rec.manager:
-                self._enqueue_at_holder(rec, waiter)
-                return
-            self.net.send(rec.manager, target, self.request_payload_bytes,
-                          kind=MsgKind.LOCK_FORWARD,
-                          data_kind=DataKind.CONSISTENCY,
-                          on_delivered=lambda _t:
-                          self._enqueue_at_holder(rec, waiter),
-                          on_abandoned=lambda _t, r=rec, w=waiter:
-                          self._reroute(r, w))
-            return
-        rec.queue.append(waiter)
+            self._forward(rec, waiter, rec.token_node)
+        else:
+            rec.queue.append(waiter)
 
     def _after_release(self, rec: LockRecord, node: int) -> None:
         if not rec.queue:
@@ -550,14 +522,8 @@ class TicketLocks(DsmLocks):
                           data_kind=DataKind.CONSISTENCY,
                           on_delivered=home_replied)
 
-        self._send_release_notify(rec, node, at_home)
-
-    def _send_release_notify(self, rec: LockRecord, node: int,
-                             on_delivered: Callable[[int], None]) -> None:
-        self.net.send(node, rec.manager, self.request_payload_bytes,
-                      kind=MsgKind.LOCK_RELEASE,
-                      data_kind=DataKind.CONSISTENCY,
-                      on_delivered=on_delivered)
+        self._send_home(node, rec, MsgKind.LOCK_RELEASE, "lock-release",
+                        at_home)
 
 
 class CombiningLocks(TicketLocks):
@@ -578,20 +544,14 @@ class CombiningLocks(TicketLocks):
             raise ConfigurationError(
                 "combining locks need a SwitchCombiner (combiner=...)")
 
-    def _send_take_ticket(self, rec: LockRecord, waiter: _Waiter) -> None:
-        self.combiner.fan_in(waiter.node, rec.manager,
-                             self.request_payload_bytes,
-                             kind=MsgKind.LOCK_REQUEST,
-                             key=("lock", rec.lock_id),
-                             on_delivered=lambda _t, r=rec, w=waiter:
-                             self._at_home(r, w))
-
-    def _send_release_notify(self, rec: LockRecord, node: int,
-                             on_delivered: Callable[[int], None]) -> None:
-        self.combiner.fan_in(node, rec.manager, self.request_payload_bytes,
-                             kind=MsgKind.LOCK_RELEASE,
-                             key=("lock-release", rec.lock_id),
-                             on_delivered=on_delivered)
+    def _send_home(self, src: int, rec: LockRecord, kind: MsgKind,
+                   tag: str, on_delivered: Callable[[int], None],
+                   on_abandoned: Optional[Callable[[int], None]] = None
+                   ) -> None:
+        self.combiner.fan_in(src, rec.manager, self.request_payload_bytes,
+                             kind=kind, key=(tag, rec.lock_id),
+                             on_delivered=on_delivered,
+                             on_abandoned=on_abandoned)
 
 
 #: Lock algorithm name -> implementation class.

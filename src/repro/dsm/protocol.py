@@ -194,21 +194,23 @@ class TreadMarksDsm:
         snapshot = self.vcs[src].copy()
         key = (src, dst)
         self._grant_snapshots.setdefault(key, deque()).append(snapshot)
-        self.counters.write_notices_sent += self.log.notices_between(
-            self.vcs[dst], snapshot)
-        nbytes = self.log.consistency_bytes(self.vcs[dst], snapshot)
-        return self._consistency_payload(src, dst, nbytes)
+        return self._notice_payload(src, dst, snapshot)
 
-    def _consistency_payload(self, src: int, dst: int,
-                             nbytes: int) -> int:
-        """Consistency bytes a sync message carries — or, with
-        write-notice piggybacking ablated off, zero: the notices then
-        travel as one standalone ``WRITE_NOTICE`` message on the same
-        edge, paying its own header and handler occupancy.  The
-        notices still *apply* when the sync message is delivered (the
-        omniscient-log simplification of DESIGN.md §4.4); the ablation
-        models the transport cost of not piggybacking, not a weaker
-        ordering."""
+    def _notice_payload(self, src: int, dst: int,
+                        upto: VectorClock) -> int:
+        """Consistency bytes the sync message ``src`` → ``dst``
+        carries: the write notices up to ``upto`` that ``dst`` lacks,
+        counted and sized — or, with write-notice piggybacking ablated
+        off, zero: the notices then travel as one standalone
+        ``WRITE_NOTICE`` message on the same edge, paying its own
+        header and handler occupancy.  The notices still *apply* when
+        the sync message is delivered (the omniscient-log
+        simplification of DESIGN.md §4.4); the ablation models the
+        transport cost of not piggybacking, not a weaker ordering."""
+        seen = self.vcs[dst]
+        self.counters.write_notices_sent += self.log.notices_between(
+            seen, upto)
+        nbytes = self.log.consistency_bytes(seen, upto)
         if self.ablate.piggyback or nbytes == 0 or src == dst:
             return nbytes
         self.net.send(src, dst, nbytes, kind=MsgKind.WRITE_NOTICE,
@@ -268,12 +270,8 @@ class TreadMarksDsm:
     # barrier consistency plumbing
     # ==================================================================
     def _arrive_payload(self, node: int) -> int:
-        mgr = self.barrier_manager
-        self.counters.write_notices_sent += self.log.notices_between(
-            self.vcs[mgr], self.vcs[node])
-        nbytes = self.log.consistency_bytes(self.vcs[mgr],
-                                            self.vcs[node])
-        return self._consistency_payload(node, mgr, nbytes)
+        return self._notice_payload(node, self.barrier_manager,
+                                    self.vcs[node])
 
     def _merge_all_clocks(self) -> None:
         self.counters.barriers += 1
@@ -287,12 +285,8 @@ class TreadMarksDsm:
     def _depart_payload(self, node: int) -> int:
         if self._merged_vc is None:
             raise ProtocolError("departure before all arrivals merged")
-        self.counters.write_notices_sent += self.log.notices_between(
-            self.vcs[node], self._merged_vc)
-        nbytes = self.log.consistency_bytes(self.vcs[node],
-                                            self._merged_vc)
-        return self._consistency_payload(self.barrier_manager, node,
-                                         nbytes)
+        return self._notice_payload(self.barrier_manager, node,
+                                    self._merged_vc)
 
     def _on_depart(self, node: int) -> None:
         if self._merged_vc is None:
@@ -467,7 +461,14 @@ class TreadMarksDsm:
 
     def _serve_diffs(self, job: _FaultJob, creator: int, wire_bytes: int,
                      indices: List[int]) -> None:
-        """At the creator: lazily build the diffs, then respond."""
+        """At the creator: lazily build the diffs, then respond.
+
+        The response is a list of wire sizes sent back to back; the
+        last message completes the fault with the *full* wire total,
+        so the receiver's apply cost does not depend on the split.
+        """
+        create_cost = 0
+        wires = [wire_bytes]
         if not self.ablate.twins:
             # Twin ablation: with no twin there is nothing to diff
             # against, so the creator ships its whole current copy of
@@ -476,26 +477,31 @@ class TreadMarksDsm:
             # and no ``on_diff_created`` events — the page copy is not
             # a diff.
             self.counters.pages_shipped_whole += 1
-            _start, ready = self.net.handlers[creator].acquire(
-                self.engine.now, 0)
-            self.net.send(creator, job.node, wire_bytes,
-                          kind=MsgKind.DIFF_RESPONSE,
-                          data_kind=DataKind.MISS, now=ready,
-                          on_delivered=lambda t, c=creator, w=wire_bytes:
-                          self._diff_arrived(job, c, w, t))
-            return
-        create_cost = 0
-        for index in indices:
-            interval = self.log.get(creator, index)
-            if interval.diff_pending(job.page):
-                if self.checker is not None:
-                    self.checker.on_diff_created(interval, job.page)
-                interval.diffs_made.add(job.page)
-                create_cost += self.overhead.diff_create_cost(
-                    self.config.page_bytes)
-                self.counters.diffs_created += 1
-                self.counters.diff_bytes_created += interval.pages[job.page]
-                self.pages[creator].consume_twin(job.page)
+        else:
+            for index in indices:
+                interval = self.log.get(creator, index)
+                if interval.diff_pending(job.page):
+                    if self.checker is not None:
+                        self.checker.on_diff_created(interval, job.page)
+                    interval.diffs_made.add(job.page)
+                    create_cost += self.overhead.diff_create_cost(
+                        self.config.page_bytes)
+                    self.counters.diffs_created += 1
+                    self.counters.diff_bytes_created += (
+                        interval.pages[job.page])
+                    self.pages[creator].consume_twin(job.page)
+            if len(indices) > 1 and self.ablate.diff_merge:
+                self.counters.diffs_merged += len(indices) - 1
+            elif len(indices) > 1:
+                # Diff-merge ablation: one response message per
+                # covered interval instead of one merged response.
+                # The per-interval wires sum to the merged total
+                # (``pend.by_creator`` accumulates the same per-notice
+                # estimates), so the ablation pays extra headers and
+                # handler occupancy, not extra diff bytes.
+                wires = [estimate_wire_bytes(
+                    self.log.get(creator, index).pages[job.page])
+                    for index in indices]
         _start, ready = self.net.handlers[creator].acquire(
             self.engine.now, create_cost)
         tracer = self.engine.tracer
@@ -503,34 +509,16 @@ class TreadMarksDsm:
             tracer.complete(creator, Category.PROTOCOL, "diff_create",
                             _start, ready, track=f"node{creator}.dsm",
                             page=job.page, for_node=job.node)
-        if self.ablate.diff_merge or len(indices) <= 1:
-            if len(indices) > 1:
-                self.counters.diffs_merged += len(indices) - 1
-            self.net.send(creator, job.node, wire_bytes,
+
+        def arrived(time: int) -> None:
+            self._diff_arrived(job, creator, wire_bytes, time)
+
+        last = len(wires) - 1
+        for i, wire in enumerate(wires):
+            self.net.send(creator, job.node, wire,
                           kind=MsgKind.DIFF_RESPONSE,
                           data_kind=DataKind.MISS, now=ready,
-                          on_delivered=lambda t, c=creator, w=wire_bytes:
-                          self._diff_arrived(job, c, w, t))
-            return
-        # Diff-merge ablation: one response message per covered
-        # interval instead of one merged response.  The per-interval
-        # wires sum to the merged total (``pend.by_creator``
-        # accumulates the same per-notice estimates), so the ablation
-        # pays extra headers and handler occupancy, not extra diff
-        # bytes.  Only the last message carries the completion
-        # callback — with the *full* wire total, so the receiver's
-        # apply cost matches the merged path.
-        for i, index in enumerate(indices):
-            interval = self.log.get(creator, index)
-            wire_i = estimate_wire_bytes(interval.pages[job.page])
-            done = None
-            if i == len(indices) - 1:
-                done = (lambda t, c=creator, w=wire_bytes:
-                        self._diff_arrived(job, c, w, t))
-            self.net.send(creator, job.node, wire_i,
-                          kind=MsgKind.DIFF_RESPONSE,
-                          data_kind=DataKind.MISS, now=ready,
-                          on_delivered=done)
+                          on_delivered=arrived if i == last else None)
 
     def _diff_arrived(self, job: _FaultJob, creator: int,
                       wire_bytes: int, time: int) -> None:
@@ -757,7 +745,3 @@ class TreadMarksDsm:
                            page=page)
         if self.page_refreshed_hook is not None:
             self.page_refreshed_hook(node, page)
-
-    # ==================================================================
-    def node_stats(self) -> List[Dict[str, int]]:
-        return [table.stats() for table in self.pages]

@@ -45,7 +45,7 @@ from repro import (ConfigurationError, ResultCache, Scale, run_context,
 from repro.harness.cache import default_cache_dir, default_ledger_path
 from repro.harness.experiments import (REGISTRY, list_experiments,
                                        run_experiment, sweep_options)
-from repro.ledger import Ledger, ledger_session
+from repro.ledger import Ledger
 from repro.net.faults import parse_crashes, parse_schedule
 from repro.trace import write_chrome_trace, write_metrics_jsonl
 
@@ -359,7 +359,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             return 2
         cache = _make_cache(args)
         ledger = _make_ledger(args)
-        scopes.enter_context(ledger_session(ledger))
         scopes.enter_context(run_context(jobs=args.jobs, cache=cache,
                                          ledger=ledger, quiet=args.quiet))
         if args.metrics_out:
@@ -425,9 +424,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     scale = Scale(args.scale)
     cache = _make_cache(args)
     ledger = _make_ledger(args)
-    with ledger_session(ledger), \
-            run_context(jobs=args.jobs, cache=cache, ledger=ledger,
-                        quiet=args.quiet):
+    with run_context(jobs=args.jobs, cache=cache, ledger=ledger,
+                     quiet=args.quiet):
         results = run_validation(scale)
     for line in format_results(results, scale):
         print(line)
@@ -448,9 +446,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 2
     cache = _make_cache(args)
     ledger = _make_ledger(args)
-    with ledger_session(ledger), \
-            run_context(jobs=args.jobs, cache=cache, ledger=ledger,
-                        quiet=args.quiet):
+    with run_context(jobs=args.jobs, cache=cache, ledger=ledger,
+                     quiet=args.quiet):
         outcome = run_report(figures=figures, scale=Scale(args.scale),
                              write=args.write, log=print)
     _report_cache(cache, ledger)

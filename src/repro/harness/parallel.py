@@ -37,8 +37,9 @@ Provenance and progress
 -----------------------
 
 When a :class:`~repro.ledger.Ledger` is in scope (via
-:func:`~repro.ledger.ledger_session`, the ambient :func:`run_context`,
-or the ``ledger=`` argument), every unique run of a plan appends one
+:func:`~repro.ledger.ledger_session` — which ``run_context(ledger=...)``
+enters itself — or the ``ledger=`` argument), every unique run of a
+plan appends one
 append-only provenance record: misses record the simulation (code
 version, fingerprints, fault plan, checker arming, wall time), cache
 hits record the serve with a ``produced_by`` pointer to the producing
@@ -57,7 +58,7 @@ its own :class:`RunSpec` — a spec pickles to under 2 KB, so there is
 nothing to gain from sharing the plan out of band.  Because warm
 workers keep the environment they were forked with, each dispatch
 re-ships the ambient knobs that may legally change between plans
-(``REPRO_CHECK``, ``REPRO_PROGRESS``).
+(``REPRO_CHECK``).
 
 Worker counts are clamped to physical cores: simulation is CPU-bound,
 so extra workers only add pickling and scheduling overhead.  When the
@@ -65,8 +66,7 @@ clamp leaves a single worker (small boxes), the plan runs in-process
 instead — ``--jobs N`` then costs nothing over serial.
 
 Unless ``quiet``, per-run ``start``/``done`` lines stream to stderr —
-workers print their own start lines (enabled through the
-``REPRO_PROGRESS`` environment variable) and the parent prints
+workers print their own start lines and the parent prints
 completions with wall time and a running done/total count — so long
 sweeps are never silent.  All progress lines from a pooled plan are
 serialized through one queue drained by a single writer thread in the
@@ -91,20 +91,17 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.apps.base import Application
 from repro.errors import WorkerCrashError
 from repro.harness.cache import ResultCache, run_key
-from repro.ledger import Ledger, active_ledger, run_record, run_scope
+from repro.ledger import (Ledger, active_ledger, ledger_session,
+                          run_record, run_scope)
 from repro.machines.base import Machine
 from repro.stats.result import RunResult
 from repro.trace import session as trace_session
-
-#: Environment flag that tells pool workers to print start lines;
-#: set (and restored) by :func:`execute_plan` when progress is on.
-PROGRESS_ENV = "REPRO_PROGRESS"
 
 #: Environment variables whose ambient values are re-shipped to the
 #: persistent pool with every dispatch (warm workers keep the
 #: environment they were forked with, so inheritance alone would go
 #: stale the moment e.g. a ``checking()`` scope opens or closes).
-SHIPPED_ENV = ("REPRO_CHECK", PROGRESS_ENV)
+SHIPPED_ENV = ("REPRO_CHECK",)
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,6 @@ class RunContext:
 
     jobs: int = 1
     cache: Optional[ResultCache] = None
-    ledger: Optional[Ledger] = None
     quiet: bool = True
 
 
@@ -178,13 +174,15 @@ def run_context(*, jobs: int = 1,
 
     The experiment registry calls :func:`execute_plan` without
     threading options through every figure function; the CLI installs
-    one context around a whole command instead.  ``ledger`` makes
-    every plan executed in the scope append provenance records.
+    one context around a whole command instead.  ``ledger`` opens a
+    :func:`~repro.ledger.ledger_session` for the scope: every plan and
+    every bare ``Machine.run`` inside appends provenance records.
     """
-    ctx = RunContext(jobs=jobs, cache=cache, ledger=ledger, quiet=quiet)
+    ctx = RunContext(jobs=jobs, cache=cache, quiet=quiet)
     _CONTEXT_STACK.append(ctx)
     try:
-        yield ctx
+        with ledger_session(ledger):
+            yield ctx
     finally:
         _CONTEXT_STACK.pop()
 
@@ -311,19 +309,19 @@ def _spec_label(spec: RunSpec) -> str:
     return f"{spec.machine.name}/{spec.app.name}/p{spec.nprocs}"
 
 
-def _run_spec(spec: RunSpec,
-              run_id: Optional[str] = None) -> Tuple[RunResult, float]:
+def _run_spec(spec: RunSpec, run_id: Optional[str] = None,
+              announce: bool = False) -> Tuple[RunResult, float]:
     """Execute one spec; returns ``(result, wall_seconds)``.
 
     Runs with session auto-record suppressed (the plan layer records
     results itself, in plan order) and inside ``run_scope(run_id)`` so
     the result — whether produced here in the parent or in a pool
     worker — is stamped with the ledger identity the parent allocated.
-    Prints a start line to stderr when ``REPRO_PROGRESS`` is set; in
-    the pool that line comes from the worker, marking *actual* start
-    rather than submission.
+    ``announce`` prints a start line to stderr; in the pool that line
+    comes from the worker, marking *actual* start rather than
+    submission.
     """
-    if os.environ.get(PROGRESS_ENV) == "1":
+    if announce:
         _progress_write(f"[run {run_id or '-'}] start "
                         f"{_spec_label(spec)} pid={os.getpid()}\n")
     start = time.perf_counter()
@@ -334,15 +332,15 @@ def _run_spec(spec: RunSpec,
 
 
 def _run_spec_in_worker(spec: RunSpec, run_id: Optional[str],
-                        env: Dict[str, Optional[str]]
-                        ) -> Tuple[RunResult, float]:
+                        env: Dict[str, Optional[str]],
+                        announce: bool) -> Tuple[RunResult, float]:
     """Pool entry point: re-apply the shipped environment, run one spec."""
     for key, value in env.items():
         if value is None:
             os.environ.pop(key, None)
         else:
             os.environ[key] = value
-    return _run_spec(spec, run_id)
+    return _run_spec(spec, run_id, announce)
 
 
 def _localize(result: RunResult, spec: RunSpec) -> RunResult:
@@ -379,7 +377,8 @@ MAX_WORKER_RETRIES = 3
 def _execute_pooled(work: Sequence[Tuple[str, RunSpec]],
                     run_id_of: Any, produced: Dict[str, RunResult],
                     walls: Dict[str, float], progress_done: Any,
-                    workers: int, on_worker_crash: Any) -> None:
+                    workers: int, on_worker_crash: Any,
+                    announce: bool) -> None:
     """Run the work list on the persistent pool, one future per spec.
 
     Results are merged under their content keys as futures complete.
@@ -401,7 +400,7 @@ def _execute_pooled(work: Sequence[Tuple[str, RunSpec]],
     def submit(i: int) -> Any:
         key, spec = work[i]
         return _ensure_pool(workers).submit(
-            _run_spec_in_worker, spec, run_id_of(key), env)
+            _run_spec_in_worker, spec, run_id_of(key), env, announce)
 
     def merge(i: int, result: RunResult, wall: float) -> None:
         key, spec = work[i]
@@ -451,9 +450,9 @@ def execute_plan(plan: RunPlan, *, jobs: Optional[int] = None,
                  quiet: Optional[bool] = None) -> List[RunResult]:
     """Execute every spec of ``plan``; results in plan order.
 
-    ``jobs``/``cache``/``ledger``/``quiet`` default to the ambient
-    :func:`run_context` (``ledger`` additionally falls back to the
-    ambient :func:`~repro.ledger.ledger_session`).  Inside a
+    ``jobs``/``cache``/``quiet`` default to the ambient
+    :func:`run_context`, ``ledger`` to the ambient
+    :func:`~repro.ledger.ledger_session`.  Inside a
     metrics-collecting session, exactly one result per *unique* run is
     recorded, in plan order — identical whether the run executed
     serially, in the pool, or came from the cache.
@@ -472,10 +471,7 @@ def execute_plan(plan: RunPlan, *, jobs: Optional[int] = None,
     if cache is None:
         cache = context.cache
     if ledger is None:
-        # ``is not None``, not truthiness: an empty Ledger has length 0
-        # (and ``len`` re-reads the whole file).
-        ledger = (context.ledger if context.ledger is not None
-                  else active_ledger())
+        ledger = active_ledger()
     if quiet is None:
         quiet = context.quiet
     plan_start = time.perf_counter()
@@ -558,24 +554,14 @@ def execute_plan(plan: RunPlan, *, jobs: Optional[int] = None,
 
     workers = effective_workers(jobs, len(work))
     pooled = workers > 1
-    previous_progress = os.environ.get(PROGRESS_ENV)
-    if not quiet:
-        os.environ[PROGRESS_ENV] = "1"
-    try:
-        if pooled:
-            _execute_pooled(work, run_id_of, produced, walls,
-                            progress_done, workers, on_worker_crash)
-        else:
-            for key, spec in work:
-                produced[key], walls[key] = _run_spec(spec,
-                                                      run_id_of(key))
-                progress_done(key, spec)
-    finally:
-        if not quiet:
-            if previous_progress is None:
-                os.environ.pop(PROGRESS_ENV, None)
-            else:
-                os.environ[PROGRESS_ENV] = previous_progress
+    if pooled:
+        _execute_pooled(work, run_id_of, produced, walls, progress_done,
+                        workers, on_worker_crash, announce=not quiet)
+    else:
+        for key, spec in work:
+            produced[key], walls[key] = _run_spec(
+                spec, run_id_of(key), announce=not quiet)
+            progress_done(key, spec)
 
     if cache is not None:
         for key, _spec in work:

@@ -222,8 +222,8 @@ def run_report(*, figures: Sequence[str] = DEFAULT_FIGURES,
                log: Callable[[str], None] = print) -> ReportOutcome:
     """Regenerate committed artifacts and diff them against the repo.
 
-    Call inside a :func:`~repro.harness.parallel.run_context` (and a
-    ledger session) — every simulation is scheduled through it, so
+    Call inside a :func:`~repro.harness.parallel.run_context` (with
+    ``ledger=``) — every simulation is scheduled through it, so
     misses fan out over the pool and everything is recorded.
     """
     unknown = [f for f in figures if f not in REGISTRY]

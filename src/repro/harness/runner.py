@@ -13,15 +13,13 @@ appends a provenance record and every returned
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.apps.base import Application
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import RunPlan, execute_plan
 from repro.machines.base import Machine
 from repro.stats.result import RunResult, SpeedupSeries
-
-MachineFactory = Callable[[], Machine]
 
 
 def speedup_series(machine: Machine, app: Application,

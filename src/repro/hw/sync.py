@@ -43,6 +43,19 @@ from repro.sim.resource import Resource
 DoneCallback = Callable[[int], None]
 
 
+class _Serialized:
+    """A gadget whose transactions queue at one shared resource."""
+
+    serializer: Optional[Resource]
+
+    def _charge(self, now: int, cycles: int) -> int:
+        """When a ``cycles``-long transaction issued at ``now`` ends."""
+        if self.serializer is None:
+            return now + cycles
+        _s, end = self.serializer.acquire(now, cycles)
+        return end
+
+
 @dataclass
 class _HwLock:
     held: bool = False
@@ -54,7 +67,7 @@ class _HwLock:
     migrations: int = 0
 
 
-class HwLockTable:
+class HwLockTable(_Serialized):
     """Test-and-set style locks with FIFO handoff.
 
     The lock word lives in a cache line: a processor that reacquires a
@@ -94,12 +107,6 @@ class HwLockTable:
             lock = _HwLock()
             self._locks[lock_id] = lock
         return lock
-
-    def _charge(self, now: int, cycles: int) -> int:
-        if self.serializer is None:
-            return now + cycles
-        _s, end = self.serializer.acquire(now, cycles)
-        return end
 
     # ------------------------------------------------------------------
     def acquire(self, lock_id: int, proc: int, done: DoneCallback) -> None:
@@ -231,7 +238,7 @@ class _HwBarrierEpisode:
     waiting: Dict[int, DoneCallback] = field(default_factory=dict)
 
 
-class HwBarrier:
+class HwBarrier(_Serialized):
     """Centralized counter barrier.
 
     Each arrival performs an atomic increment (serialized through the
@@ -250,21 +257,16 @@ class HwBarrier:
                  arrive_cycles: int,
                  depart_cycles: int,
                  serializer: Optional[Resource] = None,
-                 stage=None) -> None:
+                 stage=None, tree_radix: int = 4) -> None:
         self.engine = engine
         self.num_procs = num_procs
         self.arrive_cycles = arrive_cycles
         self.depart_cycles = depart_cycles
         self.serializer = serializer
         self.stage = stage
+        self.tree_radix = tree_radix
         self._episodes: Dict[int, _HwBarrierEpisode] = {}
         self.completed = 0
-
-    def _charge(self, now: int, cycles: int) -> int:
-        if self.serializer is None:
-            return now + cycles
-        _s, end = self.serializer.acquire(now, cycles)
-        return end
 
     def arrive(self, barrier_id: int, proc: int, done: DoneCallback) -> None:
         episode = self._episodes.get(barrier_id)
@@ -305,12 +307,11 @@ class HwTreeBarrier(HwBarrier):
 
     algorithm = "tree"
 
-    def __init__(self, *args, tree_radix: int = 4, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if tree_radix < 2:
+        if self.tree_radix < 2:
             raise ConfigurationError(
-                f"tree barrier radix must be >= 2, got {tree_radix}")
-        self.tree_radix = tree_radix
+                f"tree barrier radix must be >= 2, got {self.tree_radix}")
 
     @property
     def _depth(self) -> int:
@@ -385,16 +386,14 @@ def make_hw_locks(algorithm: str, engine: Engine, **kwargs) -> HwLockTable:
     return impl(engine, **kwargs)
 
 
-def make_hw_barrier(algorithm: str, engine: Engine, num_procs: int, *,
-                    tree_radix: int = 4, **kwargs) -> HwBarrier:
+def make_hw_barrier(algorithm: str, engine: Engine, num_procs: int,
+                    **kwargs) -> HwBarrier:
     """Build the hardware barrier for ``algorithm``."""
     impl = HW_BARRIER_IMPLS.get(algorithm)
     if impl is None:
         raise ConfigurationError(
             f"unknown hw barrier algorithm '{algorithm}' "
             f"(known: {', '.join(HW_BARRIER_IMPLS)})")
-    if algorithm == "tree":
-        return impl(engine, num_procs, tree_radix=tree_radix, **kwargs)
     return impl(engine, num_procs, **kwargs)
 
 

@@ -139,10 +139,6 @@ class Ledger:
                 if isinstance(record, dict):
                     yield record
 
-    def entries_for(self, key: str) -> List[Dict[str, Any]]:
-        """Every attempt at one fingerprint, oldest first."""
-        return [r for r in self.records() if r.get("key") == key]
-
     def __len__(self) -> int:
         return sum(1 for _ in self.records())
 

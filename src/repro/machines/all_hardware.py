@@ -10,75 +10,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.dsm.bound import BoundMode
 from repro.hw.directory import DirectorySystem
-from repro.hw.sync import HwBarrier, HwLockTable, make_hw_sync
-from repro.machines.base import Machine, Runtime
+from repro.hw.sync import make_hw_sync
+from repro.machines.base import HardwareRuntime, Machine
 from repro.machines.params import AhParams
 from repro.mem.directcache import DirectMappedCache
 from repro.mem.layout import AddressSpace, Geometry
 from repro.net.crossbar import CrossbarNetwork
 from repro.sim.engine import Engine
 from repro.sim.resource import Resource
-from repro.sim.task import ProcTask
 from repro.stats.counters import Counters
-from repro.trace.tracer import Category
-
-
-class DirectoryRuntime(Runtime):
-    """Operation dispatch for the directory machine."""
-
-    def __init__(self, engine: Engine, space: AddressSpace,
-                 counters: Counters, nprocs: int, *,
-                 directory: DirectorySystem, locks: HwLockTable,
-                 barrier: HwBarrier) -> None:
-        super().__init__(engine, space, counters, nprocs,
-                         bound_mode=BoundMode.HARDWARE)
-        self.directory = directory
-        self.locks = locks
-        self.barrier = barrier
-
-    def do_read(self, task: ProcTask, addr: int, nbytes: int) -> None:
-        """Read through the cache; misses go to the directory."""
-        first, last = self.space.geometry.line_span(addr, nbytes)
-        now = self.engine.now
-        end = self.directory.read(task.proc_id, first, last, now)
-        tracer = self.engine.tracer
-        if tracer.enabled and end > now:
-            tracer.complete(task.proc_id, Category.MISS, "dir_read",
-                            now, end, track=f"p{task.proc_id}.mem")
-        task.resume(end)
-
-    def do_write(self, task: ProcTask, addr: int, nbytes: int,
-                 changed_bytes: int) -> None:
-        """Write through the cache; the directory invalidates sharers."""
-        first, last = self.space.geometry.line_span(addr, nbytes)
-        now = self.engine.now
-        end = self.directory.write(task.proc_id, first, last, now)
-        tracer = self.engine.tracer
-        if tracer.enabled and end > now:
-            tracer.complete(task.proc_id, Category.MISS, "dir_write",
-                            now, end, track=f"p{task.proc_id}.mem")
-        task.resume(end)
-
-    def do_acquire(self, task: ProcTask, lock: int) -> None:
-        """Acquire through the hardware lock table at the sync home."""
-        self.counters.lock_acquires += 1
-        self.locks.acquire(lock, task.proc_id, task.resume)
-
-    def do_release(self, task: ProcTask, lock: int) -> None:
-        """Release at the lock table; the waiter queue hands off."""
-        self.locks.release(lock, task.proc_id, task.resume)
-
-    def do_barrier(self, task: ProcTask, barrier_id: int) -> None:
-        """Arrive at the hardware barrier counter."""
-        self.barrier.arrive(barrier_id, task.proc_id, task.resume)
-
-    def finish_run(self) -> None:
-        """Fold barrier counts into counters; close the checker."""
-        self.counters.barriers = self.barrier.completed
-        if self.directory.checker is not None:
-            self.directory.checker.finish()
 
 
 class AllHardwareMachine(Machine):
@@ -103,7 +44,7 @@ class AllHardwareMachine(Machine):
         return 64
 
     def build_runtime(self, engine: Engine, space: AddressSpace,
-                      counters: Counters, nprocs: int) -> DirectoryRuntime:
+                      counters: Counters, nprocs: int) -> HardwareRuntime:
         """Assemble caches, crossbar, directory, and hardware sync."""
         p = self.params
         caches = [DirectMappedCache(p.cpu.cache_bytes, p.cpu.line_bytes,
@@ -131,6 +72,6 @@ class AllHardwareMachine(Machine):
             self.sync, engine, nprocs, p, counters,
             serializer=Resource("ah.sync_home"),
             combine_cycles=p.crossbar_latency_cycles)
-        return DirectoryRuntime(engine, space, counters, nprocs,
-                                directory=directory, locks=locks,
-                                barrier=barrier)
+        return HardwareRuntime(engine, space, counters, nprocs,
+                               coherence=directory, locks=locks,
+                               barrier=barrier, miss_span="dir")

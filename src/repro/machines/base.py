@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 from enum import Enum
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.ablate import AblationSpecLike, parse_ablation
 from repro.apps.base import AppContext, Application
@@ -34,7 +34,7 @@ from repro.stats.result import RunResult
 from repro.sync import SyncSpec, parse_sync
 from repro.trace import session as trace_session
 from repro.trace.opmap import op_category
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import Category, Tracer
 
 
 class Runtime(OpHandler):
@@ -122,6 +122,17 @@ class Runtime(OpHandler):
         """Record a consistency sync point (bound visibility catches up)."""
         self.bound.on_sync(proc, time)
 
+    def then_sync_point(self, task: ProcTask) -> Callable[..., None]:
+        """Continuation of a DSM sync operation: ``cb(time, ...)``
+        records the sync point for ``task``'s processor, resumes it."""
+        proc = task.proc_id
+
+        def synced(time: int, _remote: bool = False) -> None:
+            self.sync_point(proc, time)
+            task.resume(time)
+
+        return synced
+
     def finish_run(self) -> None:
         """Hook for end-of-run bookkeeping (optional)."""
 
@@ -151,6 +162,77 @@ def fingerprint_value(value: Any) -> Any:
     if hasattr(value, "item"):
         return value.item()
     return repr(value)
+
+
+class HardwareRuntime(Runtime):
+    """Operation dispatch for the hardware-coherent machines (AH, SGI).
+
+    ``coherence`` is the protocol every access goes through (a
+    :class:`~repro.hw.directory.DirectorySystem` or a
+    :class:`~repro.hw.snoop.SnoopingSystem`: ``read`` / ``write`` over
+    a line span, returning the completion time); locks and barriers
+    are the shared-memory gadgets of :func:`~repro.hw.sync.make_hw_sync`.
+    ``miss_span`` names the trace span of an access that took time
+    (``"dir"`` → ``dir_read`` / ``dir_write``); the bus traces its own
+    transactions, so the snooping machine passes none.
+    """
+
+    def __init__(self, engine: Engine, space: AddressSpace,
+                 counters: Counters, nprocs: int, *,
+                 coherence, locks, barrier,
+                 miss_span: Optional[str] = None) -> None:
+        super().__init__(engine, space, counters, nprocs,
+                         bound_mode=BoundMode.HARDWARE)
+        self.coherence = coherence
+        self.locks = locks
+        self.barrier = barrier
+        self.miss_span = miss_span
+
+    def do_read(self, task: ProcTask, addr: int, nbytes: int) -> None:
+        """Read through the cache; misses go to the coherence protocol."""
+        first, last = self.space.geometry.line_span(addr, nbytes)
+        now = self.engine.now
+        end = self.coherence.read(task.proc_id, first, last, now)
+        tracer = self.engine.tracer
+        if tracer.enabled and end > now and self.miss_span:
+            tracer.complete(task.proc_id, Category.MISS,
+                            f"{self.miss_span}_read", now, end,
+                            track=f"p{task.proc_id}.mem")
+        task.resume(end)
+
+    def do_write(self, task: ProcTask, addr: int, nbytes: int,
+                 changed_bytes: int) -> None:
+        """Write through the cache; other copies are invalidated."""
+        # Hardware moves whole lines regardless of how many bytes
+        # actually changed — the §2.4.2 SOR asymmetry.
+        first, last = self.space.geometry.line_span(addr, nbytes)
+        now = self.engine.now
+        end = self.coherence.write(task.proc_id, first, last, now)
+        tracer = self.engine.tracer
+        if tracer.enabled and end > now and self.miss_span:
+            tracer.complete(task.proc_id, Category.MISS,
+                            f"{self.miss_span}_write", now, end,
+                            track=f"p{task.proc_id}.mem")
+        task.resume(end)
+
+    def do_acquire(self, task: ProcTask, lock: int) -> None:
+        """Acquire through the hardware lock table."""
+        self.counters.lock_acquires += 1
+        self.locks.acquire(lock, task.proc_id, task.resume)
+
+    def do_release(self, task: ProcTask, lock: int) -> None:
+        """Release at the lock table; the waiter queue hands off."""
+        self.locks.release(lock, task.proc_id, task.resume)
+
+    def do_barrier(self, task: ProcTask, barrier_id: int) -> None:
+        """Arrive at the hardware barrier counter."""
+        self.barrier.arrive(barrier_id, task.proc_id, task.resume)
+
+    def finish_run(self) -> None:
+        """Fold barrier counts into counters; close the checker."""
+        self.counters.barriers = self.barrier.completed
+        if self.coherence.checker is not None:
+            self.coherence.checker.finish()
 
 
 class Machine:

@@ -128,13 +128,8 @@ class HybridRuntime(Runtime):
     def do_acquire(self, task: ProcTask, lock: int) -> None:
         """Node-granularity DSM lock; co-resident handoff is free."""
         proc = task.proc_id
-        node = self.node_of(proc)
-
-        def granted(time: int, _remote: bool) -> None:
-            self.sync_point(proc, time)
-            task.resume(time)
-
-        self.dsm.acquire(lock, node, proc, granted)
+        self.dsm.acquire(lock, self.node_of(proc), proc,
+                         self.then_sync_point(task))
 
     def do_release(self, task: ProcTask, lock: int) -> None:
         """Release through the DSM (per-node diffs ride along)."""

@@ -10,65 +10,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.dsm.bound import BoundMode
 from repro.hw.snoop import SnoopingSystem
-from repro.hw.sync import HwBarrier, HwLockTable, make_hw_sync
-from repro.machines.base import Machine, Runtime
+from repro.hw.sync import make_hw_sync
+from repro.machines.base import HardwareRuntime, Machine
 from repro.machines.params import SgiParams
 from repro.mem.directcache import DirectMappedCache
 from repro.mem.layout import AddressSpace, Geometry
 from repro.net.bus import BusModel
 from repro.sim.engine import Engine
-from repro.sim.task import ProcTask
 from repro.stats.counters import Counters
-
-
-class SnoopRuntime(Runtime):
-    """Operation dispatch for bus-based snooping machines."""
-
-    def __init__(self, engine: Engine, space: AddressSpace,
-                 counters: Counters, nprocs: int, *,
-                 snoop: SnoopingSystem, locks: HwLockTable,
-                 barrier: HwBarrier) -> None:
-        super().__init__(engine, space, counters, nprocs,
-                         bound_mode=BoundMode.HARDWARE)
-        self.snoop = snoop
-        self.locks = locks
-        self.barrier = barrier
-
-    def do_read(self, task: ProcTask, addr: int, nbytes: int) -> None:
-        """Read through the L2; misses snoop the shared bus."""
-        first, last = self.space.geometry.line_span(addr, nbytes)
-        end = self.snoop.read(task.proc_id, first, last, self.engine.now)
-        task.resume(end)
-
-    def do_write(self, task: ProcTask, addr: int, nbytes: int,
-                 changed_bytes: int) -> None:
-        """Write through the L2; the bus invalidates other copies."""
-        # Hardware moves whole lines regardless of how many bytes
-        # actually changed — the §2.4.2 SOR asymmetry.
-        first, last = self.space.geometry.line_span(addr, nbytes)
-        end = self.snoop.write(task.proc_id, first, last, self.engine.now)
-        task.resume(end)
-
-    def do_acquire(self, task: ProcTask, lock: int) -> None:
-        """Acquire via the bus-serialized hardware lock table."""
-        self.counters.lock_acquires += 1
-        self.locks.acquire(lock, task.proc_id, task.resume)
-
-    def do_release(self, task: ProcTask, lock: int) -> None:
-        """Release at the lock table; waiters hand off in order."""
-        self.locks.release(lock, task.proc_id, task.resume)
-
-    def do_barrier(self, task: ProcTask, barrier_id: int) -> None:
-        """Arrive at the bus-based barrier counter."""
-        self.barrier.arrive(barrier_id, task.proc_id, task.resume)
-
-    def finish_run(self) -> None:
-        """Fold barrier counts into counters; close the checker."""
-        self.counters.barriers = self.barrier.completed
-        if self.snoop.checker is not None:
-            self.snoop.checker.finish()
 
 
 class SgiMachine(Machine):
@@ -93,7 +43,7 @@ class SgiMachine(Machine):
         return self.params.max_procs
 
     def build_runtime(self, engine: Engine, space: AddressSpace,
-                      counters: Counters, nprocs: int) -> SnoopRuntime:
+                      counters: Counters, nprocs: int) -> HardwareRuntime:
         """Assemble L2 caches, the shared bus, and snooping coherence."""
         p = self.params
         caches = [DirectMappedCache(p.l2_bytes, p.line_bytes, name=f"l2.{i}")
@@ -111,5 +61,6 @@ class SgiMachine(Machine):
             self.sync, engine, nprocs, p, counters,
             serializer=bus.resource,
             combine_cycles=p.lock_release_cycles)
-        return SnoopRuntime(engine, space, counters, nprocs,
-                            snoop=snoop, locks=locks, barrier=barrier)
+        return HardwareRuntime(engine, space, counters, nprocs,
+                               coherence=snoop, locks=locks,
+                               barrier=barrier)

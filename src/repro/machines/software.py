@@ -9,7 +9,7 @@ the local memory-hierarchy cost of each access.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.dsm.bound import BoundMode
 from repro.dsm.protocol import DsmConfig, TreadMarksDsm
@@ -53,64 +53,46 @@ class DsmRuntime(Runtime):
             self.dsm.checker.finish()
 
     # ------------------------------------------------------------------
-    def _local_cost(self, proc: int, addr: int, nbytes: int,
-                    write: bool) -> int:
-        """Local memory-hierarchy cost of an access to valid pages."""
-        first, last = self.space.geometry.line_span(addr, nbytes)
-        res = self.caches[proc].access(first, last, write)
-        self.counters.cache_hits += res.hits
-        self.counters.cache_misses_local += res.misses
-        return (int(res.hits * self.cache_params.hit_cycles) +
-                res.misses * self.cache_params.miss_cycles)
-
-    # ------------------------------------------------------------------
-    def do_read(self, task: ProcTask, addr: int, nbytes: int) -> None:
+    def _then_local(self, task: ProcTask, addr: int, nbytes: int,
+                    write: bool) -> Callable[[int], None]:
+        """Continuation of a DSM access: once the pages are valid,
+        charge the local memory hierarchy and resume ``task``."""
         proc = task.proc_id
+        first, last = self.space.geometry.line_span(addr, nbytes)
 
         def after(time: int) -> None:
-            cost = self._local_cost(proc, addr, nbytes, write=False)
+            res = self.caches[proc].access(first, last, write)
+            self.counters.cache_hits += res.hits
+            self.counters.cache_misses_local += res.misses
+            cost = (int(res.hits * self.cache_params.hit_cycles) +
+                    res.misses * self.cache_params.miss_cycles)
             tracer = self.engine.tracer
             if tracer.enabled and cost:
                 tracer.complete(proc, Category.MISS, "local_mem",
                                 time, time + cost, track=f"p{proc}.mem")
             task.resume(time + cost)
 
-        self.dsm.read(proc, addr, nbytes, after)
+        return after
+
+    def do_read(self, task: ProcTask, addr: int, nbytes: int) -> None:
+        self.dsm.read(task.proc_id, addr, nbytes,
+                      self._then_local(task, addr, nbytes, write=False))
 
     def do_write(self, task: ProcTask, addr: int, nbytes: int,
                  changed_bytes: int) -> None:
-        proc = task.proc_id
-
-        def after(time: int) -> None:
-            cost = self._local_cost(proc, addr, nbytes, write=True)
-            tracer = self.engine.tracer
-            if tracer.enabled and cost:
-                tracer.complete(proc, Category.MISS, "local_mem",
-                                time, time + cost, track=f"p{proc}.mem")
-            task.resume(time + cost)
-
-        self.dsm.write(proc, addr, nbytes, changed_bytes, after)
+        self.dsm.write(task.proc_id, addr, nbytes, changed_bytes,
+                       self._then_local(task, addr, nbytes, write=True))
 
     def do_acquire(self, task: ProcTask, lock: int) -> None:
-        proc = task.proc_id
-
-        def granted(time: int, _remote: bool) -> None:
-            self.sync_point(proc, time)
-            task.resume(time)
-
-        self.dsm.acquire(lock, proc, proc, granted)
+        self.dsm.acquire(lock, task.proc_id, task.proc_id,
+                         self.then_sync_point(task))
 
     def do_release(self, task: ProcTask, lock: int) -> None:
         self.dsm.release(lock, task.proc_id, task.proc_id, task.resume)
 
     def do_barrier(self, task: ProcTask, barrier_id: int) -> None:
-        proc = task.proc_id
-
-        def departed(time: int) -> None:
-            self.sync_point(proc, time)
-            task.resume(time)
-
-        self.dsm.barrier_arrive(barrier_id, proc, departed)
+        self.dsm.barrier_arrive(barrier_id, task.proc_id,
+                                self.then_sync_point(task))
 
 
 class SoftwareDsmMachine(Machine):

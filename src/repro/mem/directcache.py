@@ -31,8 +31,6 @@ SHARED = 1
 EXCLUSIVE = 2
 MODIFIED = 3
 
-STATE_NAMES = {INVALID: "I", SHARED: "S", EXCLUSIVE: "E", MODIFIED: "M"}
-
 _EMPTY = np.empty(0, dtype=np.int64)
 
 

@@ -15,6 +15,7 @@ from repro import units
 from repro.sim.engine import Engine
 from repro.sim.resource import Resource
 from repro.stats.counters import Counters
+from repro.sync.combining import in_open_window
 from repro.trace.tracer import Category
 
 
@@ -91,11 +92,9 @@ class CombiningStage:
     def fetch_op(self, key: Tuple[object, ...], now: int,
                  cycles: int) -> int:
         """Issue one atomic op toward ``key``; returns completion time."""
-        end = self._windows.get(key)
-        if end is not None and now <= end:
+        if in_open_window(self._windows, key, now, self.window_cycles):
             self.counters.combining_hits += 1
             return now + self.combine_cycles
-        self._windows[key] = now + self.window_cycles
         if self.resource is None:
             return now + cycles
         _start, done = self.resource.acquire(now, cycles)

@@ -166,10 +166,6 @@ class RecoveryManager:
                             track=f"node{node}.sw", detail=detail)
 
     # ------------------------------------------------------------------
-    def host_down(self, node: int, time: int) -> bool:
-        """Is ``node``'s host unreachable on the wire at ``time``?"""
-        return self.plan.node_down_at(node, time)
-
     def is_dead(self, node: int) -> bool:
         """Has ``node`` been declared failed (membership excludes it)?"""
         return node in self.dead

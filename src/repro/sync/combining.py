@@ -35,6 +35,19 @@ from repro.stats.counters import DataKind, MsgKind
 from repro.trace.tracer import Category
 
 
+def in_open_window(windows: Dict, key: object, now: int,
+                   window_cycles: int) -> bool:
+    """The combining test, shared with the hardware
+    :class:`~repro.net.crossbar.CombiningStage`: True when ``now``
+    falls inside an open window for ``key`` (a combining hit);
+    otherwise opens a fresh window and returns False."""
+    end = windows.get(key)
+    if end is not None and now <= end:
+        return True
+    windows[key] = now + window_cycles
+    return False
+
+
 class SwitchCombiner:
     """Deterministic combining windows over a point-to-point network."""
 
@@ -50,40 +63,36 @@ class SwitchCombiner:
 
     # ------------------------------------------------------------------
     def _combines(self, windows: Dict[Tuple[int, object], int],
-                  wkey: Tuple[int, object], now: int) -> bool:
-        """True when ``now`` falls inside an open window for ``wkey``
-        (a combining hit); otherwise opens a fresh window."""
-        end = windows.get(wkey)
-        if end is not None and now <= end:
-            return True
-        windows[wkey] = now + self.window_cycles
-        return False
-
-    def _hit(self, node: int, key: object) -> None:
-        counters = self.net.counters
-        counters.combining_hits += 1
-        tracer = self.net.engine.tracer
+                  node: int, key: object) -> bool:
+        """True on a combining hit at ``node`` (counted and traced);
+        otherwise opens a fresh window."""
+        engine = self.net.engine
+        if not in_open_window(windows, (node, key), engine.now,
+                              self.window_cycles):
+            return False
+        self.net.counters.combining_hits += 1
+        tracer = engine.tracer
         if tracer.enabled:
             tracer.instant(node, Category.SYNC, "combining_hit",
-                           self.net.engine.now, track="switch",
-                           key=str(key))
+                           engine.now, track="switch", key=str(key))
+        return True
 
     # ------------------------------------------------------------------
     def fan_in(self, src: int, dst: int, payload_bytes: int, *,
                kind: MsgKind, key: object,
                data_kind: DataKind = DataKind.CONSISTENCY,
-               on_delivered: Optional[Callable[[int], None]] = None) -> int:
-        """Send toward a combining point; followers skip the dst CPU."""
-        now = self.net.engine.now
-        if self._combines(self._in_windows, (dst, key), now):
-            self._hit(dst, key)
-            return self.net.send(src, dst, payload_bytes, kind=kind,
-                                 data_kind=data_kind,
-                                 recv_cpu_cycles=self.combine_cycles,
-                                 on_delivered=on_delivered)
-        return self.net.send(src, dst, payload_bytes, kind=kind,
-                             data_kind=data_kind,
-                             on_delivered=on_delivered)
+               on_delivered: Optional[Callable[[int], None]] = None,
+               on_abandoned: Optional[Callable[[int], None]] = None) -> int:
+        """Send toward a combining point; followers skip the dst CPU.
+
+        ``on_abandoned`` is the transport's: it fires instead of
+        ``on_delivered`` when ``dst`` is declared dead.
+        """
+        merged = self._combines(self._in_windows, dst, key)
+        return self.net.send(
+            src, dst, payload_bytes, kind=kind, data_kind=data_kind,
+            recv_cpu_cycles=self.combine_cycles if merged else None,
+            on_delivered=on_delivered, on_abandoned=on_abandoned)
 
     def fan_out(self, src: int, dst: int, payload_bytes: int, *,
                 kind: MsgKind, key: object,
@@ -91,13 +100,8 @@ class SwitchCombiner:
                 on_delivered: Optional[Callable[[int], None]] = None) -> int:
         """Send one leg of a fabric multicast; replicas skip the src
         CPU (the fabric duplicates the frame past the first copy)."""
-        now = self.net.engine.now
-        if self._combines(self._out_windows, (src, key), now):
-            self._hit(src, key)
-            return self.net.send(src, dst, payload_bytes, kind=kind,
-                                 data_kind=data_kind,
-                                 send_cpu_cycles=self.combine_cycles,
-                                 on_delivered=on_delivered)
-        return self.net.send(src, dst, payload_bytes, kind=kind,
-                             data_kind=data_kind,
-                             on_delivered=on_delivered)
+        merged = self._combines(self._out_windows, src, key)
+        return self.net.send(
+            src, dst, payload_bytes, kind=kind, data_kind=data_kind,
+            send_cpu_cycles=self.combine_cycles if merged else None,
+            on_delivered=on_delivered)

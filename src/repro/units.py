@@ -9,9 +9,7 @@ instead of being scattered through the models.
 
 from __future__ import annotations
 
-KILO = 1_000
 MEGA = 1_000_000
-GIGA = 1_000_000_000
 
 KIB = 1024
 MIB = 1024 * 1024

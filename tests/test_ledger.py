@@ -152,6 +152,17 @@ def test_run_context_ledger_alone_records_every_run(tmp_path):
     assert len(ledger) == len(_plan())
 
 
+def test_run_context_ledger_alone_records_bare_machine_runs(tmp_path):
+    """``run_context(ledger=L)`` is the one ledger scope: x4 calls
+    ``Machine.run`` directly (no plan), and its four runs must still be
+    recorded without a ``ledger_session`` opened beside it."""
+    from repro.harness.experiments import Scale, run_experiment
+    ledger = Ledger(str(tmp_path / "x4.jsonl"))
+    with run_context(ledger=ledger):
+        run_experiment("x4", Scale.TEST)
+    assert [rec["executor"] for rec in ledger.records()] == ["direct"] * 4
+
+
 # ======================================================================
 # Direct Machine.run and downstream correlation
 # ======================================================================

@@ -11,11 +11,14 @@ respawn/retry/quarantine behaviour when worker *processes* die.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 
 import pytest
 
 import repro.harness.parallel as parallel
+from repro import Scale, make_app, make_machine
 from repro.apps import SorApp, ops
 from repro.apps.base import Application
 from repro.check import checking
@@ -34,6 +37,7 @@ from repro.net.faults import (CrashEvent, FaultInjector, FaultPlan,
 from repro.net.reliable import ReliableNetwork
 from repro.sim.engine import Engine
 from repro.stats.counters import MsgKind
+from repro.sync import BARRIER_ALGORITHMS, LOCK_ALGORITHMS
 
 from tests.conftest import LockCounterApp
 
@@ -266,6 +270,42 @@ def test_checkers_stay_silent_on_degraded_runs():
         result = AllSoftwareMachine(
             faults=_crash_plan(3, 150_000)).run(app, 4)
     assert result.degraded is not None
+
+
+# ----------------------------------------------------------------------
+# Crash x synchronization policy (two axes composed)
+# ----------------------------------------------------------------------
+
+#: (machine, processors, last node): AS p8 has eight uniprocessor
+#: nodes, HS p16 two eight-processor nodes.
+_CRASH_MACHINES = {"as": (8, 7), "hs": (16, 1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _quarter_of_clean_run(name):
+    """A crash time inside the run: a quarter of the clean (default
+    policy) run, simulated once per machine."""
+    nprocs, _node = _CRASH_MACHINES[name]
+    clean = make_machine(name).run(make_app("mwater", Scale.TEST), nprocs)
+    return clean.cycles // 4
+
+
+@pytest.mark.parametrize("name", sorted(_CRASH_MACHINES))
+@pytest.mark.parametrize("barrier", BARRIER_ALGORITHMS)
+@pytest.mark.parametrize("lock", LOCK_ALGORITHMS)
+def test_crash_completes_degraded_under_every_sync_policy(name, lock,
+                                                          barrier):
+    """Every lock x barrier algorithm survives a crash of the last
+    node mid-run: the request and arrival routes all re-route off a
+    dead home, the app still verifies, the checkers stay silent."""
+    nprocs, node = _CRASH_MACHINES[name]
+    machine = make_machine(
+        name, sync=f"{lock}+{barrier}",
+        faults=_crash_plan(node, _quarter_of_clean_run(name)))
+    with checking():
+        result = machine.run(make_app("mwater", Scale.TEST), nprocs)
+    assert result.degraded["failed_nodes"] == [node]
+    assert math.isfinite(result.app_output["kinetic"])
 
 
 def _crash_cell_summaries(jobs, cache):

@@ -18,7 +18,7 @@ from repro.harness.parallel import run_context
 from repro.harness.report import (GOLDEN_FIGURES, GOLDEN_SPEEDUPS, Drift,
                                   diff_values, run_report)
 from repro.harness.workloads import Scale
-from repro.ledger import Ledger, ledger_session
+from repro.ledger import Ledger
 
 FIGURES = ("fig6",)          # small: one machine pair, TSP-18
 
@@ -29,7 +29,7 @@ def report_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("report-root")
     cache = ResultCache(str(root / "cache"))
     ledger = Ledger(str(root / "cache" / "ledger.jsonl"))
-    with ledger_session(ledger), run_context(cache=cache, ledger=ledger):
+    with run_context(cache=cache, ledger=ledger):
         outcome = run_report(figures=FIGURES, scale=Scale.TEST,
                              root=str(root), write=True,
                              log=lambda _msg: None)
@@ -40,7 +40,7 @@ def report_root(tmp_path_factory):
 def _run(root, **kwargs):
     cache = ResultCache(str(root / "cache"))
     ledger = Ledger(str(root / "cache" / "ledger.jsonl"))
-    with ledger_session(ledger), run_context(cache=cache, ledger=ledger):
+    with run_context(cache=cache, ledger=ledger):
         outcome = run_report(figures=FIGURES, scale=Scale.TEST,
                              root=str(root), log=lambda _msg: None,
                              **kwargs)

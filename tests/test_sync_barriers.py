@@ -6,7 +6,10 @@ from repro.dsm.barriers import (DSM_BARRIER_IMPLS, BarrierManager,
                                 CombiningBarrier, TreeBarrier,
                                 make_dsm_barrier)
 from repro.errors import ConfigurationError, ProtocolError
-from repro.stats.counters import MsgKind
+from repro.net.atm import AtmNetwork
+from repro.net.overhead import OverheadPreset
+from repro.sim.engine import Engine
+from repro.stats.counters import Counters, MsgKind
 from repro.sync import SwitchCombiner
 
 
@@ -187,6 +190,38 @@ def test_combining_falls_back_outside_window(atm, engine, counters):
     # Arrivals never share a window; only the depart wave (sent
     # back-to-back by the manager) can combine.
     assert counters.combining_hits <= 2
+
+
+def _degraded_episode(algorithm):
+    """One episode after node 3 of 4 is declared dead, on a fresh
+    network: ``(messages by kind, combining hits, departure times)``."""
+    engine, counters = Engine(), Counters()
+    net = AtmNetwork(engine, 4, bandwidth_bytes_per_sec=30e6 / 8,
+                     switch_latency_cycles=400, clock_hz=40e6,
+                     overhead=OverheadPreset.USER_LEVEL.build(),
+                     counters=counters)
+    # Radix 2: node 3 is node 1's child, so tree routing would hang.
+    barrier = make_barrier(net, algorithm, tree_radix=2)
+    assert barrier.remove_node(3, engine.now) == 0  # no open episode
+    departed = {}
+    for node in (2, 0, 1):
+        barrier.arrive(0, node, lambda t, n=node: departed.update({n: t}))
+    engine.run()
+    assert barrier.completed == 1
+    return dict(counters.messages), counters.combining_hits, departed
+
+
+@pytest.mark.parametrize("algorithm", ["tree", "combining"])
+def test_degraded_routing_is_central(algorithm):
+    """After ``remove_node`` every algorithm routes like ``central``
+    (its one definition is the fallback): the survivors' episode sends
+    the same message kinds and counts, at the same times, and the
+    combining fabric is bypassed."""
+    messages, hits, departed = _degraded_episode(algorithm)
+    assert messages[MsgKind.BARRIER_ARRIVE] == 2   # nodes 1, 2 -> 0
+    assert messages[MsgKind.BARRIER_DEPART] == 2   # 0 -> nodes 1, 2
+    assert hits == 0
+    assert (messages, hits, departed) == _degraded_episode("central")
 
 
 @pytest.mark.parametrize("algorithm", sorted(DSM_BARRIER_IMPLS))
