@@ -296,10 +296,10 @@ class DsmChecker(BaseChecker):
 
     # -- faults and diffs ----------------------------------------------
     def on_fault_begin(self, node: int, page: int, pend: Any) -> None:
-        event = self._emit("fault_begin", node, page,
-                           intervals=tuple(pend.intervals))
+        intervals = tuple((creator, index) for creator, index, _ in pend)
+        event = self._emit("fault_begin", node, page, intervals=intervals)
         vc = self.dsm.vcs[node]
-        for creator, index in pend.intervals:
+        for creator, index in intervals:
             if index > vc[creator]:
                 self._fail(
                     f"fault would apply diff {creator}:{index} from "
@@ -308,7 +308,7 @@ class DsmChecker(BaseChecker):
             if page not in interval.pages:
                 self._fail("pending notice names a page the interval "
                            "never wrote", event)
-        self._fault_pending[(node, page)] = tuple(pend.intervals)
+        self._fault_pending[(node, page)] = intervals
 
     def on_fault_done(self, job: Any) -> None:
         event = self._emit("fault_done", job.node, job.page,

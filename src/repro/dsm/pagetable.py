@@ -8,7 +8,7 @@ Each node tracks, for every shared page:
 * how many bytes the node has dirtied in the current interval, and
 * which remote intervals' diffs are *pending* — announced by write
   notices but not yet fetched (TreadMarks fetches diffs lazily, at
-  access-fault time).
+  access-fault time).  A page with pending notices is always invalid.
 
 Validity is a numpy bool array so bulk accesses resolve in one
 vectorized probe.
@@ -16,28 +16,18 @@ vectorized probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
+from repro.dsm.interval import Interval, NoticeRecord
 
-@dataclass
-class PendingDiffs:
-    """Diffs a node must fetch before revalidating one page."""
-
-    # creator node -> (wire bytes to fetch, interval refs)
-    by_creator: Dict[int, int] = field(default_factory=dict)
-    intervals: List[Tuple[int, int]] = field(default_factory=list)
-
-    def add(self, creator: int, wire_bytes: int, interval_index: int) -> None:
-        self.by_creator[creator] = (self.by_creator.get(creator, 0) +
-                                    wire_bytes)
-        self.intervals.append((creator, interval_index))
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.by_creator.values())
+PendingDiffs = List[NoticeRecord]
+"""Diffs a node must fetch before revalidating one page: the sealed
+``(creator, interval index, diff wire bytes)`` records of the write
+notices applied since the page's last fault, in arrival order.  The
+records are the creator interval's own, shared by every receiver;
+per-creator byte totals and index lists are derived at fault time."""
 
 
 class NodePages:
@@ -101,28 +91,50 @@ class NodePages:
     # ------------------------------------------------------------------
     # invalidation / revalidation
     # ------------------------------------------------------------------
+    def apply_interval(self, interval: Interval) -> int:
+        """Process every write notice of one sealed interval.
+
+        Returns how many previously valid copies this invalidated.
+        """
+        return self._apply(interval.node, interval.notices)
+
     def apply_notice(self, page: int, creator: int, wire_bytes: int,
                      interval_index: int) -> bool:
-        """Process one incoming write notice.
+        """Process one incoming write notice (a one-record interval).
 
         Returns True if this invalidated a previously valid copy.
+        """
+        record = (creator, interval_index, wire_bytes)
+        return bool(self._apply(creator, ((page, record),)))
+
+    def _apply(self, creator: int,
+               notices: Iterable[Tuple[int, NoticeRecord]]) -> int:
+        """Append ``notices`` to the pending lists and invalidate.
+
         Notices from this node itself are ignored (a node always sees
-        its own writes).
+        its own writes).  A page that already has notices pending is
+        already invalid, so only a page's first notice probes and
+        flips its valid bit.
         """
         if creator == self.node:
-            return False
-        pend = self.pending.get(page)
-        if pend is None:
-            pend = PendingDiffs()
-            self.pending[page] = pend
-        pend.add(creator, wire_bytes, interval_index)
-        was_valid = bool(self.valid[page])
-        self.valid[page] = False
-        return was_valid
+            return 0
+        pending = self.pending
+        valid = self.valid
+        invalidated = 0
+        for page, record in notices:
+            pend = pending.get(page)
+            if pend is not None:
+                pend.append(record)
+            else:
+                pending[page] = [record]
+                if valid[page]:
+                    valid[page] = False
+                    invalidated += 1
+        return invalidated
 
     def begin_fault(self, page: int) -> PendingDiffs:
         """Claim the pending-diff work for a faulting page."""
-        return self.pending.pop(page, PendingDiffs())
+        return self.pending.pop(page, [])
 
     def revalidate(self, page: int) -> None:
         self.valid[page] = True

@@ -207,10 +207,8 @@ class TreadMarksDsm:
         the sync message is delivered (the omniscient-log
         simplification of DESIGN.md §4.4); the ablation models the
         transport cost of not piggybacking, not a weaker ordering."""
-        seen = self.vcs[dst]
-        self.counters.write_notices_sent += self.log.notices_between(
-            seen, upto)
-        nbytes = self.log.consistency_bytes(seen, upto)
+        notices, nbytes = self.log.notice_payload(self.vcs[dst], upto)
+        self.counters.write_notices_sent += notices
         if self.ablate.piggyback or nbytes == 0 or src == dst:
             return nbytes
         self.net.send(src, dst, nbytes, kind=MsgKind.WRITE_NOTICE,
@@ -228,26 +226,20 @@ class TreadMarksDsm:
             self.checker.on_lock_granted(dst, src, snapshot)
 
     def _apply_notices(self, dst: int, upto: VectorClock) -> None:
-        table = self.pages[dst]
-        checker = self.checker
-        applied = [] if checker is not None else None
-        touched: Set[int] = set()
-        for interval in self.log.newer_than(self.vcs[dst], upto):
-            for page, changed in interval.pages.items():
-                wire = estimate_wire_bytes(changed)
-                if table.apply_notice(page, interval.node, wire,
-                                      interval.index):
-                    self.counters.pages_invalidated += 1
-                touched.add(page)
-            if applied is not None:
-                applied.append(interval)
-        if applied:
+        apply_interval = self.pages[dst].apply_interval
+        intervals = self.log.newer_than(self.vcs[dst], upto)
+        invalidated = 0
+        for interval in intervals:
+            invalidated += apply_interval(interval)
+        self.counters.pages_invalidated += invalidated
+        if intervals and self.checker is not None:
             # One batched checker call per merge instead of one hook
             # call per (interval, page) write notice.
-            checker.on_notices_applied(dst, applied)
+            self.checker.on_notices_applied(dst, intervals)
         self.vcs[dst].merge(upto)
-        if not self.ablate.lazy_fetch and touched:
-            self._eager_fetch(dst, touched)
+        if intervals and not self.ablate.lazy_fetch:
+            self._eager_fetch(dst, {page for interval in intervals
+                                    for page in interval.pages})
 
     def _eager_fetch(self, dst: int, pages: Set[int]) -> None:
         """Lazy-fetch ablation: fault invalidated pages immediately.
@@ -429,8 +421,14 @@ class TreadMarksDsm:
                            self.engine.now, track=f"node{node}.dsm",
                            page=page)
 
-        creators = {c: b for c, b in pend.by_creator.items()
-                    if c != node and c not in self.dead}
+        # Per live creator, in first-notice order: the wire bytes to
+        # fetch and the intervals they come from.
+        creators: Dict[int, int] = {}
+        indices: Dict[int, List[int]] = {}
+        for creator, index, wire_bytes in pend:
+            if creator != node and creator not in self.dead:
+                creators[creator] = creators.get(creator, 0) + wire_bytes
+                indices.setdefault(creator, []).append(index)
         if not self.ablate.twins:
             # No twins, no diffs to cut: each creator ships its whole
             # current copy of the page exactly once, however many of
@@ -443,21 +441,16 @@ class TreadMarksDsm:
 
         self.counters.remote_page_faults += 1
         job.remote = True
-        by_creator_intervals: Dict[int, List[int]] = {}
-        for creator, index in pend.intervals:
-            by_creator_intervals.setdefault(creator, []).append(index)
-
         job.outstanding = len(creators)
         job.creators = set(creators)
         request_time = self.engine.now + fault_cost
         for creator, wire_bytes in creators.items():
-            indices = by_creator_intervals.get(creator, [])
             self.net.send(
                 node, creator, self.config.request_payload_bytes,
                 kind=MsgKind.DIFF_REQUEST, data_kind=DataKind.CONSISTENCY,
                 now=request_time,
-                on_delivered=lambda _t, c=creator, w=wire_bytes, ix=indices:
-                self._serve_diffs(job, c, w, ix))
+                on_delivered=lambda _t, c=creator, w=wire_bytes:
+                self._serve_diffs(job, c, w, indices[c]))
 
     def _serve_diffs(self, job: _FaultJob, creator: int, wire_bytes: int,
                      indices: List[int]) -> None:
@@ -680,14 +673,13 @@ class TreadMarksDsm:
         emptied: List[Tuple[int, int]] = []
         for x in alive:
             table = self.pages[x]
-            for page in list(table.pending):
-                pend = table.pending[page]
-                if node not in pend.by_creator:
+            for page, pend in list(table.pending.items()):
+                kept = [record for record in pend if record[0] != node]
+                if len(kept) == len(pend):
                     continue
-                del pend.by_creator[node]
-                pend.intervals = [(c, i) for c, i in pend.intervals
-                                  if c != node]
-                if not pend.by_creator:
+                if kept:
+                    table.pending[page] = kept
+                else:
                     del table.pending[page]
                     emptied.append((x, page))
         for x, page in emptied:

@@ -119,15 +119,14 @@ def test_all_machines_pass_checked_runs(app_factory):
 def test_skipped_invalidation_is_caught(monkeypatch):
     """A write notice that leaves the page valid (skipped
     invalidation) trips the checker at the notice_applied event."""
-    original = NodePages.apply_notice
+    original = NodePages.apply_interval
 
-    def buggy(self, page, creator, wire_bytes, interval_index):
-        was_valid = original(self, page, creator, wire_bytes,
-                             interval_index)
-        self.valid[page] = True          # "forget" the invalidation
-        return was_valid
+    def buggy(self, interval):
+        invalidated = original(self, interval)
+        self.valid[list(interval.pages)] = True   # "forget" them all
+        return invalidated
 
-    monkeypatch.setattr(NodePages, "apply_notice", buggy)
+    monkeypatch.setattr(NodePages, "apply_interval", buggy)
     with checking(), pytest.raises(ConsistencyViolation) as err:
         DecTreadMarksMachine().run(PingPongApp(), 4)
     violation = err.value

@@ -1,7 +1,9 @@
 """Per-node page tables: validity, twins, dirty tracking, pending diffs."""
 
-import numpy as np
+import pytest
 
+from repro.dsm.diff import estimate_wire_bytes
+from repro.dsm.interval import Interval
 from repro.dsm.pagetable import NodePages
 
 
@@ -31,25 +33,46 @@ def test_apply_notice_reports_first_invalidation_only():
     table = NodePages(0, 8)
     assert table.apply_notice(3, 1, 10, 1) is True
     assert table.apply_notice(3, 1, 12, 2) is False
-    pend = table.begin_fault(3)
-    assert pend.by_creator == {1: 22}
-    assert pend.intervals == [(1, 1), (1, 2)]
+    # (creator, interval index, diff wire bytes), in arrival order
+    assert table.begin_fault(3) == [(1, 1, 10), (1, 2, 12)]
 
 
 def test_pending_accumulates_per_creator():
     table = NodePages(0, 8)
     table.apply_notice(3, 1, 10, 1)
     table.apply_notice(3, 2, 20, 1)
-    pend = table.begin_fault(3)
-    assert pend.by_creator == {1: 10, 2: 20}
-    assert pend.total_bytes == 30
+    assert table.begin_fault(3) == [(1, 1, 10), (2, 1, 20)]
 
 
 def test_begin_fault_clears_pending():
     table = NodePages(0, 8)
     table.apply_notice(3, 1, 10, 1)
     table.begin_fault(3)
-    assert table.begin_fault(3).by_creator == {}
+    assert table.begin_fault(3) == []
+
+
+@pytest.mark.parametrize("pages", [[3], [1, 2, 5], range(4, 40)])
+def test_apply_interval_shares_the_sealed_records(pages):
+    """Every page ends invalid, the count is of copies that were
+    valid, and receivers hold the interval's own record objects, not
+    copies."""
+    interval = Interval(1, 1, (0, 1), dict.fromkeys(pages, 100))
+    first, second = NodePages(0, 64), NodePages(2, 64)
+    first.apply_notice(5, 2, 10, 7)              # page 5 already invalid
+    expected = len(pages) - (5 in pages)
+    assert first.apply_interval(interval) == expected
+    assert second.apply_interval(interval) == len(pages)
+    assert list(first.invalid_in(0, 64)) == sorted({5, *pages})
+    for page, record in interval.notices:
+        assert record == (1, 1, estimate_wire_bytes(100))
+        assert first.pending[page][-1] is record
+        assert second.pending[page] == [record]
+
+
+def test_apply_interval_ignores_own_interval():
+    table = NodePages(1, 8)
+    assert table.apply_interval(Interval(1, 1, (0, 1), {3: 100})) == 0
+    assert table.is_valid(3) and not table.pending
 
 
 def test_revalidate():
