@@ -12,24 +12,33 @@ queueing when traffic converges on one node (e.g. TSP's shared queue).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.check.checker import DirectoryChecker, active_check_config
 from repro.errors import ConfigurationError
-from repro.mem.directcache import DirectMappedCache, EXCLUSIVE
+from repro.mem.directcache import (AccessResult, CacheStack,
+                                   DirectMappedCache, EXCLUSIVE, INVALID,
+                                   MODIFIED)
 from repro.net.crossbar import CrossbarNetwork
 from repro.stats.counters import Counters
 
-_BYTE_POPCOUNT = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+#: ``_BITS[p]`` is processor ``p``'s sharer bit.
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
-def popcount(values: np.ndarray) -> np.ndarray:
-    """Per-element population count of a uint64 array."""
-    as_bytes = values.view(np.uint8).reshape(values.size, 8)
-    return _BYTE_POPCOUNT[as_bytes].sum(axis=1)
+def sharer_pairs(masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(index, proc)`` of every set bit of a uint64 sharer-mask array.
+
+    Only the non-zero masks are unpacked, so a bulk write whose lines
+    are mostly private never builds a ``len(masks) × 64`` table.
+    """
+    index = np.flatnonzero(masks)
+    as_bytes = masks[index].astype("<u8", copy=False).view(np.uint8)
+    rows, procs = np.nonzero(np.unpackbits(
+        as_bytes.reshape(index.size, 8), axis=1, bitorder="little"))
+    return index[rows], procs
 
 
 class DirectorySystem:
@@ -48,6 +57,9 @@ class DirectorySystem:
             raise ConfigurationError(
                 "directory sharer bitmask supports at most 64 processors")
         self.caches = caches
+        #: The caches' state as one block; remote copies are downgraded
+        #: and invalidated through it, as (proc, line) pairs.
+        self.stack = CacheStack(caches)
         self.network = network
         self.counters = counters
         self.num_procs = len(caches)
@@ -78,44 +90,39 @@ class DirectorySystem:
         band-partitioned data (SOR's grid, Water's molecule array) at
         its owner regardless of how partitions align with pages.
         """
+        return self._page_home[lines // self.lines_per_page]
+
+    def _claim_homes(self, proc: int, lines: np.ndarray) -> np.ndarray:
+        """First-touch: unplaced pages become local to the toucher.
+
+        Returns the (now all placed) home of each line.
+        """
         pages = lines // self.lines_per_page
         homes = self._page_home[pages]
-        return homes
-
-    def _claim_homes(self, proc: int, lines: np.ndarray) -> None:
-        """First-touch: unplaced pages become local to the toucher."""
-        if lines.size == 0:
-            return
-        pages = lines // self.lines_per_page
-        unset = self._page_home[pages] < 0
+        unset = homes < 0
         if unset.any():
             self._page_home[pages[unset]] = proc
+            homes[unset] = proc
+        return homes
 
-    def _bit(self, proc: int) -> np.uint64:
-        return np.uint64(1) << np.uint64(proc)
-
-    def _charge_ports(self, proc: int, lines: np.ndarray,
+    def _charge_ports(self, proc: int, homes: np.ndarray,
                       now: int) -> int:
-        """Occupy crossbar ports for a batch of line transfers.
+        """Occupy crossbar ports for one line transfer per home given.
 
         Requests leave the requester; responses converge on it; each
         involved home's output port carries its share.
         """
-        if lines.size == 0:
-            return now
-        homes = self.home_of(lines)
-        remote = homes != proc
-        n_remote = int(np.count_nonzero(remote))
+        counts = np.bincount(homes, minlength=self.num_procs)
+        counts[proc] = 0
+        n_remote = int(counts.sum())
         if n_remote == 0:
             return now
         wire_line = self.network.wire_cycles(self.line_bytes)
         wire_req = self.network.wire_cycles(self.request_bytes)
         self.counters.network_hops += 2 * n_remote
-        _s, out_end = self.network.out_ports[proc].acquire(
+        _s, end = self.network.out_ports[proc].acquire(
             now, wire_req * n_remote)
-        end = out_end
-        counts = np.bincount(homes[remote], minlength=self.num_procs)
-        for home in np.flatnonzero(counts):
+        for home in np.flatnonzero(counts).tolist():
             _s, h_end = self.network.out_ports[home].acquire(
                 now, wire_line * int(counts[home]))
             end = max(end, h_end)
@@ -123,18 +130,16 @@ class DirectorySystem:
             now, wire_line * n_remote)
         return max(end, in_end)
 
-    def _classify(self, proc: int, lines: np.ndarray):
-        """Split miss lines into latency classes."""
+    def _classify(self, proc: int, lines: np.ndarray, homes: np.ndarray):
+        """``(local, dirty_remote)`` masks; the rest are remote-clean."""
         own = self.owner[lines]
         dirty_remote = (own >= 0) & (own != proc)
-        homes = self.home_of(lines)
-        local = (homes == proc) & ~dirty_remote
-        remote_clean = (homes != proc) & ~dirty_remote
-        return local, remote_clean, dirty_remote
+        return (homes == proc) & ~dirty_remote, dirty_remote
 
     # ------------------------------------------------------------------
     def read(self, proc: int, first_line: int, last_line: int,
              now: int) -> int:
+        """Bulk read; returns the completion time."""
         cache = self.caches[proc]
         res = cache.read(first_line, last_line)
         self.counters.cache_hits += res.hits
@@ -143,29 +148,26 @@ class DirectorySystem:
             return now + latency
 
         lines = res.miss_lines
-        self._claim_homes(proc, lines)
-        local, remote_clean, dirty_remote = self._classify(proc, lines)
-        latency += (int(np.count_nonzero(local)) * self.local_miss_cycles +
-                    int(np.count_nonzero(remote_clean)) *
+        homes = self._claim_homes(proc, lines)
+        local, dirty_remote = self._classify(proc, lines, homes)
+        n_local = int(np.count_nonzero(local))
+        n_dirty = int(np.count_nonzero(dirty_remote))
+        latency += (n_local * self.local_miss_cycles +
+                    (lines.size - n_local - n_dirty) *
                     self.remote_clean_cycles +
-                    int(np.count_nonzero(dirty_remote)) *
-                    self.remote_dirty_cycles)
-        self.counters.cache_misses_local += int(np.count_nonzero(local))
-        self.counters.cache_misses_remote += int(
-            np.count_nonzero(remote_clean | dirty_remote))
+                    n_dirty * self.remote_dirty_cycles)
+        self.counters.cache_misses_local += n_local
+        self.counters.cache_misses_remote += lines.size - n_local
 
         # Owned (E/M) third-party copies are downgraded to SHARED and
         # dirty data is supplied cache-to-cache / written back.
-        owned_lines = lines[dirty_remote]
-        if owned_lines.size:
+        if n_dirty:
+            owned_lines = lines[dirty_remote]
             owners = self.owner[owned_lines]
-            for q in np.unique(owners):
-                q_lines = owned_lines[owners == q]
-                _present, dirty = self.caches[int(q)].downgrade_lines(
-                    q_lines)
-                self.counters.writebacks += dirty
-                self.counters.cache_to_cache += dirty
-                self.sharers[q_lines] |= self._bit(int(q))
+            dirty = self.stack.downgrade(owners, owned_lines)
+            self.counters.writebacks += dirty
+            self.counters.cache_to_cache += dirty
+            self.sharers[owned_lines] |= _BITS[owners]
             self.owner[owned_lines] = -1
 
         # Register sharing; a line nobody else holds fills EXCLUSIVE
@@ -173,20 +175,20 @@ class DirectorySystem:
         # upgrade is already covered.
         unshared = lines[(self.sharers[lines] == 0) &
                          (self.owner[lines] == -1)]
-        self.sharers[lines] |= self._bit(proc)
+        self.sharers[lines] |= _BITS[proc]
         if unshared.size:
             cache.promote(unshared, EXCLUSIVE)
             self.owner[unshared] = proc
         self._handle_evictions(proc, res)
 
-        end_ports = self._charge_ports(proc, lines, now + latency)
-        end = max(now + latency, end_ports)
+        end = self._charge_ports(proc, homes, now + latency)
         if self.checker is not None:
             self.checker.after_op("read", proc, end, lines=lines)
         return end
 
     def write(self, proc: int, first_line: int, last_line: int,
               now: int) -> int:
+        """Bulk write; returns the completion time."""
         cache = self.caches[proc]
         res = cache.write(first_line, last_line)
         self.counters.cache_hits += res.hits
@@ -196,92 +198,75 @@ class DirectorySystem:
         if need_own.size == 0 and res.writebacks == 0:
             return now + latency
 
-        self._claim_homes(proc, need_own)
-        local, remote_clean, dirty_remote = self._classify(proc, need_own)
-        others = self.sharers[need_own] & ~self._bit(proc)
-        n_inval = int(popcount(others).sum())
-        has_sharers = others != 0
+        homes = self._claim_homes(proc, need_own)
+        local, dirty_remote = self._classify(proc, need_own, homes)
+        others = self.sharers[need_own] & ~_BITS[proc]
 
         # Lines with other sharers or a dirty owner pay the long
         # latency class; clean exclusive-to-us lines pay their home's.
-        expensive = dirty_remote | has_sharers
-        latency += (int(np.count_nonzero(expensive)) *
-                    self.remote_dirty_cycles +
-                    int(np.count_nonzero(local & ~expensive)) *
-                    self.local_miss_cycles +
-                    int(np.count_nonzero(remote_clean & ~expensive)) *
-                    self.remote_clean_cycles)
-        self.counters.cache_misses_local += int(
-            np.count_nonzero(local & ~expensive))
-        self.counters.cache_misses_remote += int(
-            np.count_nonzero(expensive | (remote_clean & ~expensive)))
-        self.counters.invalidations += n_inval
+        expensive = dirty_remote | (others != 0)
+        n_expensive = int(np.count_nonzero(expensive))
+        n_local = int(np.count_nonzero(local & ~expensive))
+        n_remote_clean = need_own.size - n_expensive - n_local
+        latency += (n_expensive * self.remote_dirty_cycles +
+                    n_local * self.local_miss_cycles +
+                    n_remote_clean * self.remote_clean_cycles)
+        self.counters.cache_misses_local += n_local
+        self.counters.cache_misses_remote += n_expensive + n_remote_clean
 
-        # Invalidate every other copy.
-        if n_inval or dirty_remote.any():
-            for q in range(self.num_procs):
-                if q == proc:
-                    continue
-                q_bit = self._bit(q)
-                q_lines = need_own[(others & q_bit) != 0]
-                if q_lines.size:
-                    self.caches[q].invalidate_lines(q_lines)
-            dirty_lines = need_own[dirty_remote]
-            if dirty_lines.size:
-                owners = self.owner[dirty_lines]
-                for q in np.unique(owners):
-                    if int(q) == proc:
-                        continue
-                    q_lines = dirty_lines[owners == q]
-                    self.caches[int(q)].invalidate_lines(q_lines)
-                    self.counters.writebacks += int(q_lines.size)
+        # Invalidate every other copy.  A dirty owner is its line's
+        # one sharer, so the sharer bits name every pair; what the
+        # owner holds is also written back.
+        if n_expensive:
+            index, procs = sharer_pairs(others)
+            self.counters.invalidations += index.size
+            self.stack.invalidate(procs, need_own[index])
+            self.counters.writebacks += int(
+                np.count_nonzero(dirty_remote))
 
         self.owner[need_own] = proc
-        self.sharers[need_own] = self._bit(proc)
+        self.sharers[need_own] = _BITS[proc]
         self._handle_evictions(proc, res)
 
-        end_ports = self._charge_ports(proc, need_own, now + latency)
-        end = max(now + latency, end_ports)
+        end = self._charge_ports(proc, homes, now + latency)
         if self.checker is not None:
             self.checker.after_op("write", proc, end, lines=need_own)
         return end
 
     # ------------------------------------------------------------------
-    def _handle_evictions(self, proc: int, res) -> None:
+    def _handle_evictions(self, proc: int, res: AccessResult) -> None:
         """Deregister evicted lines (dirty ones write back to home).
 
         A bulk access longer than the cache may evict a line in one
         chunk and refetch it in a later chunk of the same access; such
         a line ends the access resident, so its registration (done
         before this call) must survive even though the interim
-        eviction's writeback traffic is real.
+        eviction's writeback traffic is real.  Clean EXCLUSIVE victims
+        drop directory ownership like dirty ones.
         """
-        cache = self.caches[proc]
-        if res.evicted_dirty_lines.size:
-            self.counters.writebacks += int(res.evicted_dirty_lines.size)
-            refetched, _dirty = cache.probe_lines(res.evicted_dirty_lines)
-            gone = res.evicted_dirty_lines[~refetched]
-            mine = gone[self.owner[gone] == proc]
-            self.owner[mine] = -1
-            self.sharers[gone] &= ~self._bit(proc)
-        if res.evicted_clean_lines.size:
-            # Clean EXCLUSIVE victims also drop directory ownership.
-            refetched, _dirty = cache.probe_lines(res.evicted_clean_lines)
-            gone = res.evicted_clean_lines[~refetched]
-            mine = gone[self.owner[gone] == proc]
-            self.owner[mine] = -1
-            self.sharers[gone] &= ~self._bit(proc)
+        self.counters.writebacks += res.writebacks
+        for evicted in (res.evicted_dirty_lines, res.evicted_clean_lines):
+            if evicted.size:
+                refetched, _dirty = self.caches[proc].probe_lines(evicted)
+                gone = evicted[~refetched]
+                self.owner[gone[self.owner[gone] == proc]] = -1
+                self.sharers[gone] &= ~_BITS[proc]
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Directory invariants (used by tests).
+        """Directory/cache agreement (used by tests).
 
         A line with an owner has exactly that sharer bit set; a cache
-        line in MODIFIED state must be registered as owned.
+        line in MODIFIED state is registered as owned by that cache;
+        every resident line has its holder's sharer bit set.
         """
-        owned = self.owner >= 0
-        if owned.any():
-            bits = self.sharers[owned]
-            expect = np.uint64(1) << self.owner[owned].astype(np.uint64)
-            if not (bits == expect).all():
-                raise AssertionError("owned lines must have a single sharer")
+        owned = np.flatnonzero(self.owner >= 0)
+        if (self.sharers[owned] != _BITS[self.owner[owned]]).any():
+            raise AssertionError("owned lines must have a single sharer")
+        procs, sets = np.nonzero(self.stack.states != INVALID)
+        lines = self.stack.tags[procs, sets]
+        modified = self.stack.states[procs, sets] == MODIFIED
+        if (self.owner[lines[modified]] != procs[modified]).any():
+            raise AssertionError("a MODIFIED line must be owned by its cache")
+        if ((self.sharers[lines] & _BITS[procs]) == 0).any():
+            raise AssertionError("a resident line must have its sharer bit")

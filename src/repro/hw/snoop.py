@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 
 from repro.check.checker import SnoopChecker, active_check_config
-from repro.mem.directcache import DirectMappedCache, EXCLUSIVE
+from repro.mem.directcache import CacheStack, DirectMappedCache, EXCLUSIVE
 from repro.net.bus import BusModel
 from repro.stats.counters import Counters
 from repro.trace.tracer import Category
@@ -31,6 +31,9 @@ class SnoopingSystem:
                  memory_extra_cycles: int = 10,
                  hold_bus_during_memory: bool = True) -> None:
         self.caches = caches
+        #: The caches' state as one block; every peer operation (and
+        #: the HS page refresh) goes through it.
+        self.stack = CacheStack(caches)
         self.bus = bus
         self.counters = counters
         self.line_bytes = line_bytes
@@ -46,18 +49,6 @@ class SnoopingSystem:
         self.checker = SnoopChecker(self, cfg) if cfg is not None else None
 
     # ------------------------------------------------------------------
-    def _others_with(self, proc: int, lines: np.ndarray):
-        """(any_present, any_dirty) masks over ``lines`` across peers."""
-        any_present = np.zeros(lines.size, dtype=bool)
-        any_dirty = np.zeros(lines.size, dtype=bool)
-        for q, cache in enumerate(self.caches):
-            if q == proc:
-                continue
-            present, dirty = cache.probe_lines(lines)
-            any_present |= present
-            any_dirty |= dirty
-        return any_present, any_dirty
-
     def _miss_service(self, now: int, n_fills: int, n_writebacks: int,
                       n_upgrades: int) -> int:
         """Charge the bus for a batch of transactions; returns end time.
@@ -108,9 +99,6 @@ class SnoopingSystem:
         if res.misses == 0 and res.writebacks == 0:
             return now + hit_cost
 
-        any_present, any_dirty = self._others_with(proc, res.miss_lines)
-        n_c2c = int(np.count_nonzero(any_dirty))
-        self.counters.cache_to_cache += n_c2c
         self.counters.cache_misses_local += res.misses
 
         # Every peer copy of a missed line is downgraded to SHARED:
@@ -118,12 +106,15 @@ class SnoopingSystem:
         # EXCLUSIVE holders lose exclusivity — otherwise a later write
         # by them would silently hit on E and break single-writer.
         # Lines nobody else holds fill EXCLUSIVE.
-        for q, other in enumerate(self.caches):
-            if q == proc:
-                continue
-            other.downgrade_lines(res.miss_lines)
-        exclusive_fill = res.miss_lines[~any_present]
-        cache.promote(exclusive_fill, EXCLUSIVE)
+        unshared = res.miss_lines
+        rows, cols = self.stack.peer_copies(proc, unshared)
+        if rows.size:
+            self.counters.cache_to_cache += self.stack.downgrade(
+                rows, unshared[cols])
+            alone = np.ones(unshared.size, dtype=bool)
+            alone[cols] = False
+            unshared = unshared[alone]
+        cache.promote(unshared, EXCLUSIVE)
 
         end = self._miss_service(now + hit_cost, res.misses,
                                  res.writebacks, 0)
@@ -148,12 +139,10 @@ class SnoopingSystem:
                     if res.upgrade_lines.size else res.miss_lines)
         n_flush = 0
         if need_own.size:
-            for q, other in enumerate(self.caches):
-                if q == proc:
-                    continue
-                present, dirty = other.invalidate_lines(need_own)
+            rows, cols = self.stack.peer_copies(proc, need_own)
+            if rows.size:
+                present, n_flush = self.stack.invalidate(rows, need_own[cols])
                 self.counters.invalidations += present
-                n_flush += dirty
 
         end = self._miss_service(now + hit_cost,
                                  res.misses + n_flush,

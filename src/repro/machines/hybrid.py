@@ -92,9 +92,8 @@ class HybridRuntime(Runtime):
     def _page_refreshed(self, node: int, page: int) -> None:
         """Remote data landed in node memory: stale cached lines die."""
         lpp = self.space.geometry.lines_per_page()
-        first = page * lpp
-        for proc in self.node_procs[node]:
-            self.caches[proc].invalidate_range(first, first + lpp)
+        self.node_snoops[node].stack.invalidate_range(
+            page * lpp, (page + 1) * lpp)
 
     # ------------------------------------------------------------------
     def do_read(self, task: ProcTask, addr: int, nbytes: int) -> None:

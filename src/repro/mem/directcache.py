@@ -10,17 +10,22 @@ States follow MESI numbering::
 
     INVALID(0) < SHARED(1) < EXCLUSIVE(2) < MODIFIED(3)
 
-A direct-mapped cache maps global line ``l`` to set ``l % num_sets``.
-Consecutive lines occupy consecutive sets (with wraparound).  Ranges
-longer than the cache are processed in cache-sized chunks, so capacity
-self-eviction within one access is modelled exactly: the evicted lines
-show up in the eviction lists like any other victim.
+A direct-mapped cache maps global line ``l`` to set ``l % num_sets``,
+so consecutive lines that do not cross a multiple of ``num_sets``
+occupy a contiguous *slice* of sets.  Range operations cut their range
+at those multiples and work slice by slice; a range longer than the
+cache thereby evicts its own earlier lines exactly (the victims show
+up in the eviction lists like any other).  An INVALID set always
+carries tag ``-1``, so a tag match alone means "resident".
+
+The caches of one coherence domain (a snooping bus, the directory) are
+row views of one :class:`CacheStack`; what a protocol does to *peer*
+caches is defined there, once, over ``(cache, line)`` pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,15 +40,36 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _concat(parts: List[np.ndarray]) -> np.ndarray:
-    parts = [p for p in parts if p.size]
-    if not parts:
-        return _EMPTY
     if len(parts) == 1:
         return parts[0]
-    return np.concatenate(parts)
+    return np.concatenate(parts) if parts else _EMPTY
 
 
-@dataclass
+def _set_slices(first_line: int, last_line: int, num_sets: int
+                ) -> Iterator[Tuple[np.ndarray, slice]]:
+    """Cut ``[first_line, last_line)`` into ``(lines, slice of sets)``."""
+    while first_line < last_line:
+        low = first_line % num_sets
+        end = min(first_line + num_sets - low, last_line)
+        yield (np.arange(first_line, end, dtype=np.int64),
+               slice(low, low + end - first_line))
+        first_line = end
+
+
+def _invalidate_range(tags: np.ndarray, states: np.ndarray,
+                      first_line: int, last_line: int) -> Tuple[int, int]:
+    """Drop the range from every row of ``(..., sets)`` cache state."""
+    present = dirty = 0
+    for lines, sets in _set_slices(first_line, last_line, tags.shape[-1]):
+        held = tags[..., sets] == lines
+        held_states = states[..., sets][held]
+        present += held_states.size
+        dirty += int(np.count_nonzero(held_states == MODIFIED))
+        states[..., sets][held] = INVALID
+        tags[..., sets][held] = -1
+    return present, dirty
+
+
 class AccessResult:
     """Outcome of one bulk cache access.
 
@@ -55,23 +81,30 @@ class AccessResult:
       displaced by the fills (dirty ones require writeback).
     """
 
-    hits: int = 0
-    miss_lines: np.ndarray = field(default_factory=lambda: _EMPTY)
-    upgrade_lines: np.ndarray = field(default_factory=lambda: _EMPTY)
-    evicted_dirty_lines: np.ndarray = field(default_factory=lambda: _EMPTY)
-    evicted_clean_lines: np.ndarray = field(default_factory=lambda: _EMPTY)
+    __slots__ = ("hits", "miss_lines", "upgrade_lines",
+                 "evicted_dirty_lines", "evicted_clean_lines")
+
+    def __init__(self, hits: int = 0, miss_lines: np.ndarray = _EMPTY,
+                 upgrade_lines: np.ndarray = _EMPTY,
+                 evicted_dirty_lines: np.ndarray = _EMPTY,
+                 evicted_clean_lines: np.ndarray = _EMPTY) -> None:
+        self.hits = hits
+        self.miss_lines = miss_lines
+        self.upgrade_lines = upgrade_lines
+        self.evicted_dirty_lines = evicted_dirty_lines
+        self.evicted_clean_lines = evicted_clean_lines
 
     @property
     def misses(self) -> int:
-        return int(self.miss_lines.size)
+        return self.miss_lines.size
 
     @property
     def upgrades(self) -> int:
-        return int(self.upgrade_lines.size)
+        return self.upgrade_lines.size
 
     @property
     def writebacks(self) -> int:
-        return int(self.evicted_dirty_lines.size)
+        return self.evicted_dirty_lines.size
 
 
 class DirectMappedCache:
@@ -88,6 +121,8 @@ class DirectMappedCache:
         self.name = name
         self.line_bytes = line_bytes
         self.num_sets = cache_bytes // line_bytes
+        #: Own arrays until a :class:`CacheStack` adopts the cache and
+        #: rebinds both to row views of its block.
         self.tags = np.full(self.num_sets, -1, dtype=np.int64)
         self.states = np.zeros(self.num_sets, dtype=np.uint8)
 
@@ -131,48 +166,37 @@ class DirectMappedCache:
         other cache holds the line).  Writes leave every touched line
         MODIFIED and report SHARED hits as upgrades.
         """
-        result = AccessResult()
-        if last_line <= first_line:
-            return result
+        hits = 0
         misses: List[np.ndarray] = []
         upgrades: List[np.ndarray] = []
         dirty_victims: List[np.ndarray] = []
         clean_victims: List[np.ndarray] = []
-
-        chunk_start = first_line
-        while chunk_start < last_line:
-            chunk_end = min(chunk_start + self.num_sets, last_line)
-            lines = np.arange(chunk_start, chunk_end, dtype=np.int64)
-            sets = lines % self.num_sets
-            old_tags = self.tags[sets]
-            old_states = self.states[sets]
-
-            present = (old_tags == lines) & (old_states != INVALID)
-            result.hits += int(np.count_nonzero(present))
-            misses.append(lines[~present])
-
-            conflict = (~present) & (old_states != INVALID)
-            dirty_victims.append(old_tags[conflict &
-                                          (old_states == MODIFIED)])
-            clean_victims.append(old_tags[conflict &
-                                          (old_states != MODIFIED)])
-
+        for lines, sets in _set_slices(first_line, last_line, self.num_sets):
+            tags = self.tags[sets]        # views: written through below
+            states = self.states[sets]
+            present = tags == lines
+            n_hit = int(np.count_nonzero(present))
+            hits += n_hit
+            if write and n_hit:
+                upgrades.append(lines[present & (states == SHARED)])
+            if n_hit < lines.size:
+                absent = ~present
+                misses.append(lines[absent])
+                conflict = absent & (states != INVALID)
+                if conflict.any():
+                    victims = tags[conflict]
+                    dirty = states[conflict] == MODIFIED
+                    dirty_victims.append(victims[dirty])
+                    clean_victims.append(victims[~dirty])
+                if write:
+                    tags[:] = lines
+                else:
+                    tags[absent] = lines[absent]
+                    states[absent] = SHARED
             if write:
-                upgrades.append(lines[present & (old_states == SHARED)])
-                self.tags[sets] = lines
-                self.states[sets] = MODIFIED
-            else:
-                miss_mask = ~present
-                miss_sets = sets[miss_mask]
-                self.tags[miss_sets] = lines[miss_mask]
-                self.states[miss_sets] = SHARED
-            chunk_start = chunk_end
-
-        result.miss_lines = _concat(misses)
-        result.upgrade_lines = _concat(upgrades)
-        result.evicted_dirty_lines = _concat(dirty_victims)
-        result.evicted_clean_lines = _concat(clean_victims)
-        return result
+                states[:] = MODIFIED
+        return AccessResult(hits, _concat(misses), _concat(upgrades),
+                            _concat(dirty_victims), _concat(clean_victims))
 
     def read(self, first_line: int, last_line: int) -> AccessResult:
         """Bulk read; missing lines fill SHARED, hits keep their state."""
@@ -183,7 +207,7 @@ class DirectMappedCache:
         return self.access(first_line, last_line, write=True)
 
     # ------------------------------------------------------------------
-    # coherence-side operations
+    # coherence-side operations on this cache alone
     # ------------------------------------------------------------------
     def promote(self, lines: np.ndarray, state: int) -> None:
         """Set the state of whichever of ``lines`` are resident."""
@@ -200,107 +224,83 @@ class DirectMappedCache:
         Returns ``(present, dirty)`` counts — ``dirty`` lines must be
         supplied or written back by the protocol before invalidation.
         """
-        if last_line <= first_line:
-            return 0, 0
-        total_present = 0
-        total_dirty = 0
-        chunk_start = first_line
-        while chunk_start < last_line:
-            chunk_end = min(chunk_start + self.num_sets, last_line)
-            lines = np.arange(chunk_start, chunk_end, dtype=np.int64)
-            sets = lines % self.num_sets
-            present = (self.tags[sets] == lines) & \
-                (self.states[sets] != INVALID)
-            dirty = present & (self.states[sets] == MODIFIED)
-            total_present += int(np.count_nonzero(present))
-            total_dirty += int(np.count_nonzero(dirty))
-            self.states[sets[present]] = INVALID
-            self.tags[sets[present]] = -1
-            chunk_start = chunk_end
-        return total_present, total_dirty
-
-    def downgrade_lines(self, lines: np.ndarray) -> Tuple[int, int]:
-        """Downgrade resident M/E ``lines`` to SHARED.
-
-        Returns ``(present, dirty)``; dirty lines are supplied to the
-        requester / written back by the protocol.
-        """
-        if lines.size == 0:
-            return 0, 0
-        sets = lines % self.num_sets
-        present = (self.tags[sets] == lines) & (self.states[sets] != INVALID)
-        dirty = present & (self.states[sets] == MODIFIED)
-        exclusive = present & (self.states[sets] >= EXCLUSIVE)
-        self.states[sets[exclusive]] = SHARED
-        return int(np.count_nonzero(present)), int(np.count_nonzero(dirty))
+        return _invalidate_range(self.tags, self.states,
+                                 first_line, last_line)
 
     def invalidate_lines(self, lines: np.ndarray) -> Tuple[int, int]:
         """Invalidate an explicit set of global lines; see above."""
-        if lines.size == 0:
-            return 0, 0
         sets = lines % self.num_sets
-        present = (self.tags[sets] == lines) & (self.states[sets] != INVALID)
-        dirty = present & (self.states[sets] == MODIFIED)
-        self.states[sets[present]] = INVALID
-        self.tags[sets[present]] = -1
-        return int(np.count_nonzero(present)), int(np.count_nonzero(dirty))
-
-    def downgrade_range(self, first_line: int, last_line: int
-                        ) -> Tuple[int, int]:
-        """Downgrade M/E lines in the range to SHARED.
-
-        Returns ``(present, dirty)``; dirty lines are flushed by the
-        protocol (cache-to-cache supply under Illinois).
-        """
-        if last_line <= first_line:
-            return 0, 0
-        total_present = 0
-        total_dirty = 0
-        chunk_start = first_line
-        while chunk_start < last_line:
-            chunk_end = min(chunk_start + self.num_sets, last_line)
-            lines = np.arange(chunk_start, chunk_end, dtype=np.int64)
-            sets = lines % self.num_sets
-            present = (self.tags[sets] == lines) & \
-                (self.states[sets] != INVALID)
-            dirty = present & (self.states[sets] == MODIFIED)
-            total_present += int(np.count_nonzero(present))
-            total_dirty += int(np.count_nonzero(dirty))
-            exclusive = present & (self.states[sets] >= EXCLUSIVE)
-            self.states[sets[exclusive]] = SHARED
-            chunk_start = chunk_end
-        return total_present, total_dirty
+        sets = sets[self.tags[sets] == lines]
+        dirty = int(np.count_nonzero(self.states[sets] == MODIFIED))
+        self.states[sets] = INVALID
+        self.tags[sets] = -1
+        return sets.size, dirty
 
     def probe_lines(self, lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(present_mask, dirty_mask) for explicit global lines.
-
-        Snooping and directory protocols use this to locate suppliers
-        and sharers among the other caches.
-        """
-        if lines.size == 0:
-            empty = np.zeros(0, dtype=bool)
-            return empty, empty
+        """(present_mask, dirty_mask) for explicit global lines."""
         sets = lines % self.num_sets
-        present = (self.tags[sets] == lines) & (self.states[sets] != INVALID)
-        dirty = present & (self.states[sets] == MODIFIED)
-        return present, dirty
-
-    def present_in_range(self, first_line: int, last_line: int) -> int:
-        """How many lines of the range are currently resident."""
-        if last_line <= first_line:
-            return 0
-        count = 0
-        chunk_start = first_line
-        while chunk_start < last_line:
-            chunk_end = min(chunk_start + self.num_sets, last_line)
-            lines = np.arange(chunk_start, chunk_end, dtype=np.int64)
-            sets = lines % self.num_sets
-            present = (self.tags[sets] == lines) & \
-                (self.states[sets] != INVALID)
-            count += int(np.count_nonzero(present))
-            chunk_start = chunk_end
-        return count
+        present = self.tags[sets] == lines
+        return present, present & (self.states[sets] == MODIFIED)
 
     def __repr__(self) -> str:
         return (f"<DirectMappedCache {self.name}: {self.num_sets} sets x "
                 f"{self.line_bytes} B, {self.resident_count()} resident>")
+
+
+class CacheStack:
+    """The ``(P × sets)`` ``tags``/``states`` block of one coherence domain.
+
+    Adopts the caches it is given: their state moves into one block
+    and each cache's ``tags``/``states`` become row views of it, so a
+    cache's own access and the peer operations below see one memory.
+    A *pair* ``(rows[i], lines[i])`` names global line ``lines[i]`` in
+    the cache of row ``rows[i]``; snooping finds the pairs by one
+    masked compare over the block (:meth:`peer_copies`), the directory
+    reads them off its sharer bits.  Past that compare, work and
+    temporaries are sized by the pairs, not by ``P × len(lines)``.
+    """
+
+    def __init__(self, caches: Sequence[DirectMappedCache]) -> None:
+        if len({(c.num_sets, c.line_bytes) for c in caches}) != 1:
+            raise ConfigurationError(
+                "caches of one coherence domain must share one geometry")
+        self.num_sets = caches[0].num_sets
+        self.tags = np.empty((len(caches), self.num_sets), dtype=np.int64)
+        self.states = np.empty((len(caches), self.num_sets), dtype=np.uint8)
+        for row, cache in enumerate(caches):
+            self.tags[row], self.states[row] = cache.tags, cache.states
+            cache.tags, cache.states = self.tags[row], self.states[row]
+
+    def peer_copies(self, proc: int, lines: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)``: every cache ``rows[i]`` other than ``proc``
+        that holds ``lines[cols[i]]``."""
+        held = self.tags[:, lines % self.num_sets] == lines
+        held[proc] = False
+        return np.nonzero(held)
+
+    def downgrade(self, rows: np.ndarray, lines: np.ndarray) -> int:
+        """Resident E/M pairs drop to SHARED; returns how many were M
+        (the protocol supplies or writes those back)."""
+        sets = lines % self.num_sets
+        states = self.states[rows, sets]
+        owned = (self.tags[rows, sets] == lines) & (states >= EXCLUSIVE)
+        self.states[rows[owned], sets[owned]] = SHARED
+        return int(np.count_nonzero(states[owned] == MODIFIED))
+
+    def invalidate(self, rows: np.ndarray, lines: np.ndarray
+                   ) -> Tuple[int, int]:
+        """Resident pairs become INVALID; returns ``(present, dirty)``."""
+        sets = lines % self.num_sets
+        held = self.tags[rows, sets] == lines
+        rows, sets = rows[held], sets[held]
+        dirty = int(np.count_nonzero(self.states[rows, sets] == MODIFIED))
+        self.states[rows, sets] = INVALID
+        self.tags[rows, sets] = -1
+        return rows.size, dirty
+
+    def invalidate_range(self, first_line: int, last_line: int
+                         ) -> Tuple[int, int]:
+        """Invalidate the range in every row; ``(present, dirty)``."""
+        return _invalidate_range(self.tags, self.states,
+                                 first_line, last_line)

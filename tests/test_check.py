@@ -12,18 +12,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import make_machine
 from repro.check import (CheckConfig, ConsistencyViolation,
                          active_check_config, checking)
 from repro.check.events import make_event
 from repro.check.history import verify_lrc_history
 from repro.dsm.pagetable import NodePages
 from repro.dsm.protocol import TreadMarksDsm
+from repro.harness.workloads import Scale, make_app
 from repro.hw.directory import DirectorySystem
 from repro.machines import (AllHardwareMachine, AllSoftwareMachine,
                             DecTreadMarksMachine, HybridMachine,
                             SgiMachine)
 from repro.machines.params import HsParams
-from repro.mem.directcache import DirectMappedCache
+from repro.mem.directcache import CacheStack
 
 from tests.conftest import LockCounterApp, PingPongApp
 
@@ -86,6 +88,23 @@ def test_checked_run_is_cycle_identical(machine_factory):
         checked = machine_factory().run(app, 4)
     assert checked.cycles == plain.cycles
     assert checked.app_output == plain.app_output
+
+
+@pytest.mark.parametrize("machine, workload, nprocs", [
+    ("sgi", "water", 8), ("ah", "mwater", 16), ("ah", "mwater", 64),
+    ("hs", "mwater", 16),
+])
+def test_hw_checkers_stay_armed_over_stacked_caches(machine, workload,
+                                                    nprocs):
+    """The SWMR/directory checkers index ``cache.tags``/``cache.states``
+    directly; those are row views of the domain's ``CacheStack`` now.
+    Real workloads must pass them, at unchanged cycle counts."""
+    app = make_app(workload, Scale.TEST)
+    plain = make_machine(machine).run(app, nprocs)
+    with checking():
+        checked = make_machine(machine).run(app, nprocs)
+    assert checked.cycles == plain.cycles
+    assert checked.events == plain.events
 
 
 def test_checking_forks_the_cache_fingerprint(monkeypatch):
@@ -161,8 +180,8 @@ def test_skipped_diff_application_is_caught(monkeypatch):
 def test_missed_snoop_downgrade_is_caught(monkeypatch):
     """A read miss that leaves a peer's MODIFIED copy intact breaks
     single-writer-multiple-reader on the bus."""
-    monkeypatch.setattr(DirectMappedCache, "downgrade_lines",
-                        lambda self, lines: (0, 0))
+    monkeypatch.setattr(CacheStack, "downgrade",
+                        lambda self, rows, lines: 0)
     with checking(), pytest.raises(ConsistencyViolation) as err:
         SgiMachine().run(PingPongApp(), 2)
     assert err.value.event.kind == "swmr_check"
@@ -180,7 +199,7 @@ def test_eager_eviction_deregistration_is_caught(monkeypatch):
             if evicted.size:
                 mine = evicted[self.owner[evicted] == proc]
                 self.owner[mine] = -1
-                self.sharers[evicted] &= ~self._bit(proc)
+                self.sharers[evicted] &= ~(np.uint64(1) << np.uint64(proc))
 
     monkeypatch.setattr(DirectorySystem, "_handle_evictions", buggy)
     from tests.test_directory import make_system

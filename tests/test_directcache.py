@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mem.directcache import (DirectMappedCache, EXCLUSIVE, INVALID,
-                                   MODIFIED, SHARED)
+from repro.mem.directcache import (CacheStack, DirectMappedCache, EXCLUSIVE,
+                                   INVALID, MODIFIED, SHARED)
 
 
 @pytest.fixture
@@ -101,16 +101,6 @@ def test_invalidate_lines(cache):
     assert present == 2 and dirty == 2
 
 
-def test_downgrade_range(cache):
-    cache.write(0, 4)
-    present, dirty = cache.downgrade_range(0, 4)
-    assert present == 4 and dirty == 4
-    assert all(cache.state_of(l) == SHARED for l in range(4))
-    # Second downgrade finds nothing dirty.
-    present, dirty = cache.downgrade_range(0, 4)
-    assert present == 4 and dirty == 0
-
-
 def test_probe_lines(cache):
     cache.read(0, 2)
     cache.write(5, 6)
@@ -128,24 +118,80 @@ def test_flush(cache):
 def test_empty_ranges_noop(cache):
     assert cache.read(5, 5).misses == 0
     assert cache.invalidate_range(5, 5) == (0, 0)
-    assert cache.downgrade_range(5, 5) == (0, 0)
-    assert cache.present_in_range(5, 5) == 0
+    empty = np.empty(0, dtype=np.int64)
+    assert cache.invalidate_lines(empty) == (0, 0)
+    assert cache.probe_lines(empty)[0].size == 0
 
 
-def test_present_in_range(cache):
-    cache.read(0, 4)
-    assert cache.present_in_range(0, 8) == 4
+# ----------------------------------------------------------------------
+# the stacked block of one coherence domain
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def stack():
+    caches = [DirectMappedCache(1024, 64, name=f"c{i}") for i in range(3)]
+    caches[0].write(0, 3)
+    return CacheStack(caches), caches
 
 
-def test_downgrade_lines(cache):
-    import numpy as np
-    cache.write(0, 3)
-    present, dirty = cache.downgrade_lines(np.array([0, 2, 9]))
-    assert present == 2 and dirty == 2
-    assert cache.state_of(0) == SHARED
-    assert cache.state_of(1) == MODIFIED  # untouched
+def test_stack_adopts_caches_as_row_views(stack):
+    block, caches = stack
+    assert block.tags.shape == block.states.shape == (3, 16)
+    for row, cache in enumerate(caches):
+        assert np.shares_memory(cache.tags, block.tags[row])
+        assert np.shares_memory(cache.states, block.states[row])
+    # State written before adoption moved in; later accesses land in it.
+    assert list(block.states[0, :4]) == [MODIFIED] * 3 + [INVALID]
+    caches[2].read(5, 6)
+    assert block.tags[2, 5] == 5 and block.states[2, 5] == SHARED
+
+
+def test_stack_rejects_unequal_geometry():
+    with pytest.raises(ConfigurationError):
+        CacheStack([DirectMappedCache(1024, 64), DirectMappedCache(2048, 64)])
+    with pytest.raises(ConfigurationError):
+        CacheStack([DirectMappedCache(1024, 64), DirectMappedCache(1024, 32)])
+
+
+def test_peer_copies_excludes_the_requester(stack):
+    block, caches = stack
+    caches[1].read(1, 2)
+    caches[2].read(1, 3)
+    rows, cols = block.peer_copies(0, np.array([0, 1, 2, 9]))
+    assert sorted(zip(rows.tolist(), cols.tolist())) == [
+        (1, 1), (2, 1), (2, 2)]
+    rows, cols = block.peer_copies(2, np.array([9]))
+    assert rows.size == cols.size == 0
+
+
+def test_downgrade_lines(stack):
+    block, caches = stack
+    caches[1].read(8, 9)
+    caches[1].promote(np.array([8]), EXCLUSIVE)
+    rows, lines = np.array([0, 0, 1, 2]), np.array([0, 2, 8, 0])
+    assert block.downgrade(rows, lines) == 2      # the two MODIFIED pairs
+    assert caches[0].state_of(0) == caches[0].state_of(2) == SHARED
+    assert caches[0].state_of(1) == MODIFIED      # not a pair: untouched
+    assert caches[1].state_of(8) == SHARED        # clean E loses exclusivity
+    assert caches[2].state_of(0) == INVALID       # absent pair: no-op
     # Idempotent: nothing dirty the second time.
-    present, dirty = cache.downgrade_lines(np.array([0, 2]))
-    assert present == 2 and dirty == 0
-    # Empty input is a no-op.
-    assert cache.downgrade_lines(np.empty(0, dtype=np.int64)) == (0, 0)
+    assert block.downgrade(rows, lines) == 0
+
+
+def test_stack_invalidate_pairs(stack):
+    block, caches = stack
+    caches[1].read(16, 17)                        # set 0 of cache 1
+    rows, lines = np.array([0, 1, 2]), np.array([1, 0, 1])
+    assert block.invalidate(rows, lines) == (1, 1)
+    assert caches[0].state_of(1) == INVALID
+    assert caches[1].state_of(16) == SHARED       # same set, other tag
+    assert block.tags[0, 1] == -1
+
+
+def test_stack_invalidate_range_hits_every_row(stack):
+    block, caches = stack
+    caches[1].read(14, 18)                        # wraps the set index
+    caches[2].read(0, 2)
+    assert block.invalidate_range(1, 17) == (6, 2)
+    assert [c.resident_count() for c in caches] == [1, 1, 1]
+    assert caches[1].state_of(17) == SHARED

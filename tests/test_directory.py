@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.directory import DirectorySystem, popcount
+from repro.hw.directory import DirectorySystem, sharer_pairs
 from repro.mem.directcache import DirectMappedCache, MODIFIED
 from repro.net.crossbar import CrossbarNetwork
 from repro.sim.engine import Engine
@@ -31,9 +31,13 @@ def make_system(nprocs=4, cache_lines=16):
     return system, counters
 
 
-def test_popcount():
-    values = np.array([0, 1, 3, 0xFF, 2**63], dtype=np.uint64)
-    assert list(popcount(values)) == [0, 1, 2, 8, 1]
+def test_sharer_pairs():
+    masks = np.array([0, 1, 0, 0x8001, 2**63 + 2], dtype=np.uint64)
+    index, procs = sharer_pairs(masks)
+    assert list(zip(index.tolist(), procs.tolist())) == [
+        (1, 0), (3, 0), (3, 15), (4, 1), (4, 63)]
+    index, procs = sharer_pairs(np.zeros(3, dtype=np.uint64))
+    assert index.size == procs.size == 0
 
 
 def test_too_many_procs_rejected():
@@ -85,7 +89,7 @@ def test_write_invalidates_all_sharers():
         system.read(proc, 0, 4, now=0)
     system.write(3, 0, 4, now=100)
     for proc in (0, 1, 2):
-        assert system.caches[proc].present_in_range(0, 4) == 0
+        assert not system.caches[proc].probe_lines(np.arange(4))[0].any()
     assert counters.invalidations >= 8  # two other sharers x 4 lines
     assert (system.sharers[np.arange(4)] ==
             np.uint64(1) << np.uint64(3)).all()
@@ -136,11 +140,41 @@ def test_directory_invariants_after_random_script(rng):
         else:
             now = system.write(proc, first, first + length, now)
     system.check_invariants()
-    # A MODIFIED cache line must be directory-owned by that cache.
-    for proc, cache in enumerate(system.caches):
-        mask = cache.states == MODIFIED
-        lines = cache.tags[mask]
-        assert (system.owner[lines] == proc).all()
+
+
+def _owned_shared_and_dirty():
+    """Line 0 MODIFIED in cache 0, line 4 SHARED in caches 1 and 2."""
+    system, _ = make_system()
+    system.write(0, 0, 1, now=0)
+    system.read(1, 4, 5, now=100)
+    system.read(2, 4, 5, now=200)
+    system.check_invariants()
+    return system
+
+
+def test_check_invariants_owned_line_with_second_sharer():
+    system = _owned_shared_and_dirty()
+    system.sharers[0] |= np.uint64(1) << np.uint64(3)
+    with pytest.raises(AssertionError, match="single sharer"):
+        system.check_invariants()
+
+
+def test_check_invariants_modified_line_without_owner():
+    system = _owned_shared_and_dirty()
+    system.owner[0] = -1              # the directory forgot the owner
+    with pytest.raises(AssertionError, match="MODIFIED line"):
+        system.check_invariants()
+    system = _owned_shared_and_dirty()
+    system.caches[1].states[4] = MODIFIED     # a copy went dirty silently
+    with pytest.raises(AssertionError, match="MODIFIED line"):
+        system.check_invariants()
+
+
+def test_check_invariants_resident_line_without_sharer_bit():
+    system = _owned_shared_and_dirty()
+    system.sharers[4] &= ~(np.uint64(1) << np.uint64(2))
+    with pytest.raises(AssertionError, match="sharer bit"):
+        system.check_invariants()
 
 
 @settings(max_examples=50, deadline=None)
