@@ -27,8 +27,6 @@ because updates are serialized by the (simulated) molecule locks.
 
 from __future__ import annotations
 
-import bisect
-import math
 from typing import Dict, List
 
 import numpy as np
@@ -56,6 +54,20 @@ CYCLES_PER_PAIR = 3000
 CYCLES_PER_INTEGRATE = 500
 
 GRAVITY_SOFTENING = 4.0
+
+
+def _pair_forces(rec: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The force molecule ``j`` exerts on ``i`` for every ``(i, j)`` row
+    of ``pairs``, as a ``(k, 3)`` array.
+
+    Every pair gets the same IEEE operations in the same association as
+    a scalar evaluation would (DESIGN.md, "Water: one force kernel").
+    """
+    pos = rec[:, POS_OFF:POS_OFF + 3]
+    dx, dy, dz = (pos[pairs[:, 0]] - pos[pairs[:, 1]]).T
+    r2 = dx * dx + dy * dy + dz * dz + GRAVITY_SOFTENING
+    inv = 1.0 / (r2 * np.sqrt(r2))
+    return np.stack((dx * inv, dy * inv, dz * inv), axis=1)
 
 
 class WaterApp(Application):
@@ -97,33 +109,24 @@ class WaterApp(Application):
             (self.molecules, 3)) - 0.5) * 0.1
 
     # ------------------------------------------------------------------
-    def _pairs_of(self, proc: int, nprocs: int) -> List:
-        """The half-sweep pair set owned by ``proc``.
+    def _pairs_of(self, proc: int, nprocs: int) -> np.ndarray:
+        """The half-sweep pair set owned by ``proc``, one ``(i, j)`` row
+        per pair.
 
         Molecule i interacts with the next n/2 molecules (mod n); the
         owner of i computes those pairs — every unordered pair is
-        handled exactly once.
+        handled exactly once.  Rows run over i, then over the distance.
         """
         n = self.molecules
         owned = chunk_ranges(n, nprocs)[proc]
         half = n // 2
-        pairs = []
-        for i in owned:
-            for d in range(1, half + 1):
-                j = (i + d) % n
-                if n % 2 == 0 and d == half and i >= n // 2:
-                    continue  # avoid double-counting the diameter pair
-                pairs.append((i, j))
-        return pairs
-
-    @staticmethod
-    def _force(pi, pj) -> tuple:
-        dx = pi[0] - pj[0]
-        dy = pi[1] - pj[1]
-        dz = pi[2] - pj[2]
-        r2 = dx * dx + dy * dy + dz * dz + GRAVITY_SOFTENING
-        inv = 1.0 / (r2 * math.sqrt(r2))
-        return (dx * inv, dy * inv, dz * inv)
+        i = np.repeat(np.arange(owned.start, owned.stop, dtype=np.int64),
+                      half)
+        d = np.tile(np.arange(1, half + 1, dtype=np.int64), len(owned))
+        # Even n: the diameter pair would be counted from both ends.
+        keep = ~((n % 2 == 0) & (d == half) & (i >= half))
+        i, d = i[keep], d[keep]
+        return np.stack((i, (i + d) % n), axis=1)
 
     # ------------------------------------------------------------------
     def programs(self, ctx: AppContext) -> List[Program]:
@@ -156,31 +159,33 @@ class WaterApp(Application):
             yield ops.Read("mol", 0, region_bytes)
 
             if self.modified:
-                yield from self._force_phase_mwater(ctx, rec, pairs)
+                yield from self._force_phase_mwater(rec, pairs)
             else:
-                yield from self._force_phase_water(ctx, rec, pairs)
+                yield from self._force_phase_water(rec, pairs)
             yield ops.Barrier(0)
 
             # -- integrate own molecules ------------------------------
-            for i in owned:
-                pos = rec[i, POS_OFF:POS_OFF + 3]
-                vel = rec[i, VEL_OFF:VEL_OFF + 3]
-                frc = rec[i, FORCE_OFF:FORCE_OFF + 3]
-                vel += 0.001 * frc
-                pos += vel
-                frc[:] = 0.0
+            mine = rec[owned.start:owned.stop]
+            frc = mine[:, FORCE_OFF:FORCE_OFF + 3]
+            mine[:, VEL_OFF:VEL_OFF + 3] += 0.001 * frc
+            mine[:, POS_OFF:POS_OFF + 3] += mine[:, VEL_OFF:VEL_OFF + 3]
+            frc[:] = 0.0
             if len(owned):
                 yield ops.Compute(len(owned) * CYCLES_PER_INTEGRATE)
                 yield ops.Write("mol", owned.start * RECORD_BYTES,
                                 len(owned) * RECORD_BYTES)
             yield ops.Barrier(1)
 
-    def _force_phase_water(self, ctx: AppContext, rec: np.ndarray,
-                           pairs: List) -> Program:
-        """Original Water: one lock acquisition per force update."""
-        for i, j in pairs:
-            fx, fy, fz = self._force(rec[i, POS_OFF:POS_OFF + 3],
-                                     rec[j, POS_OFF:POS_OFF + 3])
+    def _force_phase_water(self, rec: np.ndarray,
+                           pairs: np.ndarray) -> Program:
+        """Original Water: one lock acquisition per force update.
+
+        Positions do not change between ``Barrier(1)`` and
+        ``Barrier(0)``, so every force is computed up front; the
+        updates still happen one by one, each under its molecule lock.
+        """
+        forces = _pair_forces(rec, pairs).tolist()
+        for (i, j), (fx, fy, fz) in zip(pairs.tolist(), forces):
             yield ops.Compute(CYCLES_PER_PAIR)
             for mol, sign in ((i, 1.0), (j, -1.0)):
                 yield ops.Acquire(MOL_LOCK_BASE + mol)
@@ -190,32 +195,31 @@ class WaterApp(Application):
                 yield self._mol_write(mol)
                 yield ops.Release(MOL_LOCK_BASE + mol)
 
-    def _force_phase_mwater(self, ctx: AppContext, rec: np.ndarray,
-                            pairs: List) -> Program:
+    def _force_phase_mwater(self, rec: np.ndarray,
+                            pairs: np.ndarray) -> Program:
         """M-Water: accumulate locally, one locked update per molecule."""
-        local: Dict[int, List[float]] = {}
-        for i, j in pairs:
-            fx, fy, fz = self._force(rec[i, POS_OFF:POS_OFF + 3],
-                                     rec[j, POS_OFF:POS_OFF + 3])
-            for mol, sign in ((i, 1.0), (j, -1.0)):
-                acc = local.setdefault(mol, [0.0, 0.0, 0.0])
-                acc[0] += sign * fx
-                acc[1] += sign * fy
-                acc[2] += sign * fz
+        forces = _pair_forces(rec, pairs)
+        # Rows (i, +f), (j, -f) pair by pair; add.at is unbuffered and
+        # goes in row order, so each molecule sums its terms in pair
+        # order, starting from 0.0.
+        rows = pairs.ravel()
+        local = np.zeros((self.molecules, 3))
+        np.add.at(local, rows,
+                  np.stack((forces, -forces), axis=1).reshape(-1, 3))
         yield ops.Compute(len(pairs) * CYCLES_PER_PAIR)
         # Apply updates starting from this processor's own molecules:
         # processors sweep the molecule array out of phase, so the
         # per-molecule locks do not convoy.
-        ordered = sorted(local)
-        if ordered and pairs:
-            start = bisect.bisect_left(ordered, pairs[0][0])
-            ordered = ordered[start:] + ordered[:start]
-        for mol in ordered:
-            acc = local[mol]
+        ordered = np.unique(rows)
+        if ordered.size:
+            start = int(np.searchsorted(ordered, pairs[0, 0]))
+            ordered = np.concatenate((ordered[start:], ordered[:start]))
+        for mol, (fx, fy, fz) in zip(ordered.tolist(),
+                                     local[ordered].tolist()):
             yield ops.Acquire(MOL_LOCK_BASE + mol)
-            rec[mol, FORCE_OFF] += acc[0]
-            rec[mol, FORCE_OFF + 1] += acc[1]
-            rec[mol, FORCE_OFF + 2] += acc[2]
+            rec[mol, FORCE_OFF] += fx
+            rec[mol, FORCE_OFF + 1] += fy
+            rec[mol, FORCE_OFF + 2] += fz
             yield self._mol_write(mol)
             yield ops.Release(MOL_LOCK_BASE + mol)
 

@@ -20,7 +20,7 @@ lock/barrier/page-fault latency in TreadMarks.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro import units
 from repro.sim.engine import Engine
@@ -56,6 +56,8 @@ class AtmNetwork:
         # k-server resource rather than a single choke point.
         self.handlers = [MultiResource(f"cpu.handler[{i}]", handler_servers)
                          for i in range(num_nodes)]
+        #: ``wire_cycles`` by frame size, filled as frames are sent.
+        self._wire: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def wire_cycles(self, nbytes: int) -> int:
@@ -100,7 +102,9 @@ class AtmNetwork:
             ostart = sent
         else:
             frame = payload_bytes + self.header_bytes
-            wire = self.wire_cycles(frame)
+            wire = self._wire.get(frame)
+            if wire is None:
+                wire = self._wire[frame] = self.wire_cycles(frame)
             ostart, out_done = self.out_links[src].acquire(sent, wire)
             at_switch = out_done + self.switch_latency
             _istart, arrival = self.in_links[dst].acquire(at_switch, wire)

@@ -12,7 +12,7 @@ without simulating individual arbitration cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 
@@ -25,7 +25,6 @@ class Resource:
     total_busy: int = 0
     total_wait: int = 0
     acquisitions: int = 0
-    _last_release: int = field(default=0, repr=False)
 
     def acquire(self, at: int, duration: int) -> Tuple[int, int]:
         """Reserve the resource for ``duration`` cycles starting no
@@ -33,13 +32,16 @@ class Resource:
         """
         if duration < 0:
             raise ValueError(f"duration must be non-negative: {duration}")
-        start = max(int(at), self.busy_until)
-        end = start + int(duration)
-        self.total_wait += start - int(at)
-        self.total_busy += int(duration)
+        at = int(at)
+        duration = int(duration)
+        start = self.busy_until
+        if at > start:
+            start = at
+        end = start + duration
+        self.total_wait += start - at
+        self.total_busy += duration
         self.acquisitions += 1
         self.busy_until = end
-        self._last_release = end
         return start, end
 
     def peek(self, at: int) -> int:
@@ -63,7 +65,9 @@ class MultiResource:
     """A k-server FCFS resource (e.g. message handling on an SMP node,
     where any of the node's processors can run the DSM handler).
 
-    Each request is served whole by the earliest-free server.
+    Each request is served whole by the earliest-free server (the
+    lowest-numbered one on a tie).  With one server, ``acquire`` *is*
+    that server's ``acquire``.
     """
 
     def __init__(self, name: str, servers: int) -> None:
@@ -71,10 +75,15 @@ class MultiResource:
             raise ValueError(f"need at least one server: {servers}")
         self.name = name
         self.servers = [Resource(f"{name}[{i}]") for i in range(servers)]
+        if servers == 1:
+            self.acquire = self.servers[0].acquire
 
     def acquire(self, at: int, duration: int) -> Tuple[int, int]:
         """Serve on the earliest-available server; returns (start, end)."""
-        best = min(self.servers, key=lambda s: s.busy_until)
+        best = self.servers[0]
+        for server in self.servers:
+            if server.busy_until < best.busy_until:
+                best = server
         return best.acquire(at, duration)
 
     def peek(self, at: int) -> int:

@@ -34,6 +34,11 @@ class MsgKind(Enum):
     #: normally rides lock-grant / barrier messages).
     WRITE_NOTICE = "write_notice"
 
+    # Members are singletons compared by identity, so identity hashing
+    # is exact; it spares every counter increment Enum's Python-level
+    # ``hash(self._name_)``.
+    __hash__ = object.__hash__
+
     @property
     def is_sync(self) -> bool:
         """Lock/barrier traffic, as opposed to data-miss traffic."""
@@ -63,6 +68,8 @@ class DataKind(Enum):
     MISS = "miss"                # page contents / diffs
     CONSISTENCY = "consistency"  # write notices, vector timestamps
     HEADER = "header"            # per-message protocol headers
+
+    __hash__ = object.__hash__   # as MsgKind's
 
 
 @dataclass

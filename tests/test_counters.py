@@ -88,3 +88,50 @@ def test_as_dict_covers_every_field():
                 assert f"{prefix}{key.value}" in d, (f.name, key)
         else:
             assert f.name in d, f.name
+
+
+def test_sync_kinds_are_exactly_lock_barrier_bound_and_notice():
+    assert {k.value for k in MsgKind if k.is_sync} == {
+        "lock_request", "lock_forward", "lock_grant", "lock_release",
+        "barrier_arrive", "barrier_depart", "bound_update", "write_notice"}
+    assert {k.value for k in MsgKind if k.is_miss} == {
+        "diff_request", "diff_response", "page_request", "page_response"}
+
+
+def _busy_counters():
+    c = Counters()
+    for n, kind in enumerate(MsgKind):
+        for _ in range(n + 1):
+            c.count_message(kind, 8 * n, list(DataKind)[n % 2], 40)
+    c.page_faults = 5
+    c.lock_wait_cycles = 123
+    return c
+
+
+def test_to_jsonable_roundtrips_unchanged():
+    import json
+
+    c = _busy_counters()
+    doc = c.to_jsonable()
+    restored = Counters.from_jsonable(json.loads(json.dumps(doc)))
+    assert restored.to_jsonable() == doc
+    assert list(restored.to_jsonable()) == list(doc)
+    assert restored.as_dict() == c.as_dict()
+
+
+def test_kinds_stay_dict_keys_across_copy_and_pickle():
+    """Kinds hash by identity; a copied or unpickled ``Counters`` must
+    still find, not duplicate, its keys."""
+    import copy
+    import pickle
+
+    original = _busy_counters()
+    for clone in (copy.deepcopy(original),
+                  pickle.loads(pickle.dumps(original))):
+        clone.count_message(MsgKind.LOCK_GRANT, 4, DataKind.MISS, 40)
+        assert len(clone.messages) == len(MsgKind)
+        assert len(clone.data_bytes) == len(DataKind)
+        assert clone.messages[MsgKind.LOCK_GRANT] == \
+            original.messages[MsgKind.LOCK_GRANT] + 1
+        assert clone.data_bytes[DataKind.MISS] == \
+            original.data_bytes[DataKind.MISS] + 4
