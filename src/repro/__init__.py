@@ -18,7 +18,9 @@ Quickstart::
         print(machine.name, base.seconds / result.seconds)
 
 Grids run through :class:`RunPlan`/:func:`execute_plan` (parallel,
-cached, deterministic), and the op vocabulary — including the batched
+cached, ledger-recorded, deterministic) — the one run path every
+registry experiment takes; :func:`run_curves` declares speedup curves
+in one plan.  The op vocabulary — including the batched
 :class:`OpBlock` form with :func:`fuse`/:func:`unfuse` — is re-exported
 here.  Everything in ``__all__`` is the stable public surface; the
 examples and the CLI are written against it.
@@ -36,8 +38,8 @@ from repro.check import checking
 from repro.errors import ConfigurationError, ConsistencyViolation
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import (RunPlan, RunSpec, execute_plan,
-                                    run_context, run_grid, shutdown_pool)
-from repro.harness.runner import compare_machines, speedup_series
+                                    run_context, shutdown_pool)
+from repro.harness.runner import run_curves, speedup_series
 from repro.harness.workloads import Scale, make_app
 from repro.machines import (AllHardwareMachine, AllSoftwareMachine,
                             DecTreadMarksMachine, HybridMachine, Machine,
@@ -102,9 +104,8 @@ __all__ = [
     "RunSpec",
     "execute_plan",
     "run_context",
-    "run_grid",
     "shutdown_pool",
-    "compare_machines",
+    "run_curves",
     "speedup_series",
     "ResultCache",
     # observation and checking

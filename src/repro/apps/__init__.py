@@ -12,10 +12,13 @@ shared accesses and synchronization.  The suite matches §2.3:
   (M-Water).
 * :mod:`repro.apps.ilink` — a synthetic genetic-linkage workload with
   CLP-like and BAD-like presets (see DESIGN.md substitutions).
+* :mod:`repro.apps.micro` — one-event synchronization micro-benchmarks
+  (a cold remote lock acquisition, one barrier).
 """
 
 from repro.apps.base import AppContext, Application
 from repro.apps.ilink import IlinkApp
+from repro.apps.micro import BarrierOnlyApp, LockPingApp
 from repro.apps.ops import (Acquire, Barrier, Compute, OpBlock, Read,
                             ReadBound, Release, UpdateBound, Write,
                             fuse, unfuse)
@@ -41,4 +44,6 @@ __all__ = [
     "TspApp",
     "WaterApp",
     "IlinkApp",
+    "LockPingApp",
+    "BarrierOnlyApp",
 ]

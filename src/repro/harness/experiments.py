@@ -10,15 +10,16 @@ calls out).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Tuple
 
 from repro.ablate import (MECHANISMS, AblationSpec, importance_score,
                           metric_deltas, run_metrics)
+from repro.apps import BarrierOnlyApp, LockPingApp
 from repro.errors import ConfigurationError
 from repro.harness import fmt
-from repro.harness.parallel import RunPlan, execute_plan, run_grid
-from repro.harness.runner import compare_machines, speedup_series
+from repro.harness.parallel import RunPlan, execute_plan
+from repro.harness.runner import run_curves
 from repro.harness.workloads import (EXPERIMENTAL_PROCS, SIMULATED_PROCS,
                                      Scale, make_app)
 from repro.machines import (AllHardwareMachine, AllSoftwareMachine,
@@ -26,7 +27,6 @@ from repro.machines import (AllHardwareMachine, AllSoftwareMachine,
                             make_machine)
 from repro.net.faults import CrashEvent, FaultPlan, FaultRule
 from repro.net.overhead import OVERHEAD_SWEEP
-from repro.stats.result import SpeedupSeries
 from repro.sync import BARRIER_ALGORITHMS, LOCK_ALGORITHMS, SyncPolicy
 
 
@@ -87,17 +87,18 @@ SIM_WORKLOADS = ("sor_sim", "tsp19", "mwater")
            "DSM overhead at 1 processor is ~nil; the SGI is slower for "
            "working sets exceeding its L2, roughly equal otherwise.")
 def run_t1(scale: Scale) -> Report:
-    tm = DecTreadMarksMachine()
-    sgi = SgiMachine()
     apps = {name: make_app(name, scale) for name in ALL_WORKLOADS}
-    runs = run_grid(
-        [(f"tm/{name}", tm, app, 1) for name, app in apps.items()] +
-        [(f"sgi/{name}", sgi, app, 1) for name, app in apps.items()])
+    plan = RunPlan()
+    for machine in (DecTreadMarksMachine(), SgiMachine()):
+        for app in apps.values():
+            plan.add(machine, app, 1)
+    results = execute_plan(plan)
     rows = []
     data = {}
-    for name, app in apps.items():
-        t_tm = runs[f"tm/{name}"].seconds
-        t_sgi = runs[f"sgi/{name}"].seconds
+    n = len(apps)
+    for (name, app), tm, sgi in zip(apps.items(), results[:n],
+                                    results[n:]):
+        t_tm, t_sgi = tm.seconds, sgi.seconds
         # At one node TreadMarks engages no remote machinery, so the
         # plain-DEC and DEC+TreadMarks columns coincide (the paper
         # measured the same to within noise).
@@ -117,11 +118,12 @@ def run_t1(scale: Scale) -> Report:
 def run_t2(scale: Scale) -> Report:
     tm = DecTreadMarksMachine()
     apps = {name: make_app(name, scale) for name in ALL_WORKLOADS}
-    runs = run_grid([(name, tm, app, 8) for name, app in apps.items()])
+    plan = RunPlan()
+    for app in apps.values():
+        plan.add(tm, app, 8)
     rows = []
     data = {}
-    for name, app in apps.items():
-        r = runs[name]
+    for (name, app), r in zip(apps.items(), execute_plan(plan)):
         rows.append([app.name, r.barriers_per_sec, r.remote_locks_per_sec,
                      r.messages_per_sec, r.kbytes_per_sec])
         data[name] = r.summary()
@@ -138,11 +140,11 @@ def run_t2(scale: Scale) -> Report:
 # ======================================================================
 def _experimental_figure(exp_id: str, workload: str,
                          scale: Scale) -> Report:
-    app_factory = lambda: make_app(workload, scale)  # noqa: E731
-    machines = [DecTreadMarksMachine(), SgiMachine()]
-    series = compare_machines(machines, app_factory(), EXPERIMENTAL_PROCS)
+    app = make_app(workload, scale)
+    series = run_curves({m.name: (m, app, EXPERIMENTAL_PROCS)
+                         for m in (DecTreadMarksMachine(), SgiMachine())})
     speedups = {name: s.speedups() for name, s in series.items()}
-    report = Report(exp_id, f"{app_factory().name} speedups, "
+    report = Report(exp_id, f"{app.name} speedups, "
                             f"TreadMarks vs SGI 4D/480")
     report.lines = fmt.format_speedups(speedups, EXPERIMENTAL_PROCS)
     report.data = {"speedups": speedups,
@@ -189,7 +191,8 @@ def _sim_machines():
 def _sim_figure(exp_id: str, workload: str, scale: Scale) -> Report:
     procs = SIMULATED_PROCS[scale]
     app = make_app(workload, scale)
-    series = compare_machines(_sim_machines(), app, (1,) + tuple(procs))
+    series = run_curves({m.name: (m, app, (1,) + tuple(procs))
+                         for m in _sim_machines()})
     speedups = {name: s.speedups() for name, s in series.items()}
     report = Report(exp_id, f"{app.name} on AH / HS / AS")
     report.lines = fmt.format_speedups(speedups, procs)
@@ -218,26 +221,19 @@ for _fid, _wl, _ref, _note in _SIM_FIGURES:
 # ======================================================================
 # Figures 12-13: message and data totals, HS vs AS
 # ======================================================================
-_TRAFFIC_CACHE: Dict[Scale, tuple] = {}
-
-
 def _traffic_runs(scale: Scale):
-    """AS and HS runs at the largest machine (shared by fig12/fig13)."""
-    cached = _TRAFFIC_CACHE.get(scale)
-    if cached is not None:
-        return cached
+    """AS and HS runs at the largest machine (fig12 and fig13 each plan
+    the same six cells; the result cache shares them)."""
     procs = max(SIMULATED_PROCS[scale])
-    entries = []
+    plan = RunPlan()
     for workload in SIM_WORKLOADS:
         app = make_app(workload, scale)
-        entries.append((f"as/{workload}", AllSoftwareMachine(), app, procs))
-        entries.append((f"hs/{workload}", HybridMachine(), app, procs))
-    runs = run_grid(entries)
-    out = {workload: {"as": runs[f"as/{workload}"],
-                      "hs": runs[f"hs/{workload}"]}
-           for workload in SIM_WORKLOADS}
-    _TRAFFIC_CACHE[scale] = (procs, out)
-    return procs, out
+        plan.add(AllSoftwareMachine(), app, procs)
+        plan.add(HybridMachine(), app, procs)
+    results = execute_plan(plan)
+    return procs, {workload: {"as": as_run, "hs": hs_run}
+                   for workload, as_run, hs_run in zip(
+                       SIM_WORKLOADS, results[::2], results[1::2])}
 
 
 @_register("fig12", "Total messages, HS vs AS", "Figure 12",
@@ -312,29 +308,21 @@ def _overhead_sweep(exp_id: str, workload: str, hybrid: bool,
     procs = SIMULATED_PROCS[scale]
     app = make_app(workload, scale)
     # One plan for the full (preset x processor-count) grid; the
-    # sweep points fan out together and the shared 1-proc baseline
-    # (AS presets only differ in messaging overheads) runs once.
-    plan = RunPlan()
-    layout = []
+    # shared 1-proc baseline (AS presets only differ in messaging
+    # overheads) runs once.
+    curves = {}
     for preset in OVERHEAD_SWEEP:
         if hybrid:
             machine = HybridMachine(
                 HybridMachine().params.with_overhead(preset))
         else:
             machine = AllSoftwareMachine(overhead_preset=preset)
-        indices = plan.add_series(machine, app, (1,) + tuple(procs))
         ov = preset.build()
         label = (f"fixed={ov.fixed_send_cycles}"
                  f",word={ov.per_word_cycles}")
-        layout.append((label, machine, indices))
-    results = execute_plan(plan)
-    speedups: Dict[str, Dict[int, float]] = {}
-    for label, machine, indices in layout:
-        base = results[indices[0]]
-        series = SpeedupSeries(machine.name, app.name, base.seconds)
-        for index in indices:
-            series.add(results[index])
-        speedups[label] = series.speedups()
+        curves[label] = (machine, app, (1,) + tuple(procs))
+    speedups = {label: series.speedups()
+                for label, series in run_curves(curves).items()}
     arch = "HS" if hybrid else "AS"
     report = Report(exp_id, f"{workload} on {arch}, software-overhead "
                             f"sweep")
@@ -371,22 +359,23 @@ def run_fig16(scale: Scale) -> Report:
            "Eager release propagates the bound at release time and "
            "recovers most of the SGI gap.")
 def run_x1(scale: Scale) -> Report:
-    app_name = "tsp19"
+    app = make_app("tsp19", scale)
     machines = [
         DecTreadMarksMachine(),
         DecTreadMarksMachine(eager_locks=frozenset({1})),  # bound lock
         SgiMachine(),
     ]
+    top = max(EXPERIMENTAL_PROCS)
     rows = []
     data = {}
-    for machine in machines:
-        app = make_app(app_name, scale)
-        series = speedup_series(machine, app, EXPERIMENTAL_PROCS)
-        top = series.speedups()[max(EXPERIMENTAL_PROCS)]
-        result = series.at(max(EXPERIMENTAL_PROCS))
-        expansions = result.app_output.get("parallel_expansions", 0)
-        rows.append([machine.name, top, expansions])
-        data[machine.name] = {"speedup": top, "expansions": expansions}
+    for name, series in run_curves(
+            {m.name: (m, app, EXPERIMENTAL_PROCS)
+             for m in machines}).items():
+        speedup = series.speedups()[top]
+        expansions = series.at(top).app_output.get(
+            "parallel_expansions", 0)
+        rows.append([name, speedup, expansions])
+        data[name] = {"speedup": speedup, "expansions": expansions}
     report = Report("x1", "TSP: lazy vs eager release vs SGI "
                           "(8 processors)")
     report.lines = fmt.format_table(
@@ -399,23 +388,22 @@ def run_x1(scale: Scale) -> Report:
            "Kernel-level messaging sharply improves M-Water; barrier "
            "apps (ILINK, SOR) barely change.")
 def run_x2(scale: Scale) -> Report:
+    workloads = ("sor_small", "ilink_clp", "tsp19", "mwater")
+    kinds = {"user": DecTreadMarksMachine(),
+             "kernel": DecTreadMarksMachine(kernel_level=True),
+             "sgi": SgiMachine()}
+    series = run_curves({
+        (workload, kind): (machine, app, EXPERIMENTAL_PROCS)
+        for workload in workloads
+        for app in [make_app(workload, scale)]
+        for kind, machine in kinds.items()})
+    p = max(EXPERIMENTAL_PROCS)
     rows = []
     data = {}
-    for workload in ("sor_small", "ilink_clp", "tsp19", "mwater"):
-        user = speedup_series(DecTreadMarksMachine(),
-                              make_app(workload, scale),
-                              EXPERIMENTAL_PROCS)
-        kernel = speedup_series(DecTreadMarksMachine(kernel_level=True),
-                                make_app(workload, scale),
-                                EXPERIMENTAL_PROCS)
-        sgi = speedup_series(SgiMachine(), make_app(workload, scale),
-                             EXPERIMENTAL_PROCS)
-        p = max(EXPERIMENTAL_PROCS)
-        rows.append([workload, user.speedups()[p], kernel.speedups()[p],
-                     sgi.speedups()[p]])
-        data[workload] = {"user": user.speedups()[p],
-                          "kernel": kernel.speedups()[p],
-                          "sgi": sgi.speedups()[p]}
+    for workload in workloads:
+        data[workload] = {kind: series[workload, kind].speedups()[p]
+                          for kind in kinds}
+        rows.append([workload, *data[workload].values()])
     report = Report("x2", "User-level vs kernel-level TreadMarks "
                           "(speedup at 8 processors)")
     report.lines = fmt.format_table(
@@ -428,17 +416,19 @@ def run_x2(scale: Scale) -> Report:
            "Equalizing data movement: TreadMarks moves far more data "
            "than with the zero interior, but still beats the SGI.")
 def run_x3(scale: Scale) -> Report:
+    workloads = ("sor_large", "sor_alldirty")
+    series = run_curves({
+        (workload, machine.name): (machine, app, EXPERIMENTAL_PROCS)
+        for workload in workloads
+        for app in [make_app(workload, scale)]
+        for machine in (DecTreadMarksMachine(), SgiMachine())})
+    p = max(EXPERIMENTAL_PROCS)
     rows = []
     data = {}
-    for workload in ("sor_large", "sor_alldirty"):
-        app = make_app(workload, scale)
-        tm = speedup_series(DecTreadMarksMachine(), app,
-                            EXPERIMENTAL_PROCS)
-        sgi = speedup_series(SgiMachine(), make_app(workload, scale),
-                             EXPERIMENTAL_PROCS)
-        p = max(EXPERIMENTAL_PROCS)
+    for workload in workloads:
+        tm, sgi = series[workload, "treadmarks"], series[workload, "sgi"]
         tm_top = tm.at(p)
-        rows.append([app.name, tm.speedups()[p], sgi.speedups()[p],
+        rows.append([tm.app, tm.speedups()[p], sgi.speedups()[p],
                      tm_top.counters.total_bytes // 1024])
         data[workload] = {"tm": tm.speedups()[p],
                           "sgi": sgi.speedups()[p],
@@ -451,86 +441,25 @@ def run_x3(scale: Scale) -> Report:
     return report
 
 
-class _BarrierOnlyApp:
-    """Micro-benchmark: every processor hits one barrier."""
-
-    name = "sync-barrier"
-
-    def regions(self, nprocs):
-        return {"pad": 4096}
-
-    def init_data(self, ctx):
-        pass
-
-    def programs(self, ctx):
-        from repro.apps import ops
-
-        def prog():
-            yield ops.Barrier()
-        return [prog() for _ in range(ctx.nprocs)]
-
-    def verify(self, ctx):
-        return {}
-
-    def check_nprocs(self, nprocs):
-        pass
-
-
-class _LockPingApp:
-    """Micro-benchmark: one cold remote lock acquisition.
-
-    Lock 0's manager is node 0; node 2 takes and releases the token
-    first, so node 1's later acquisition walks the full three-message
-    path (request to the manager, forward to the holder, grant back).
-    The warm-up delay keeps the phases strictly ordered.
-    """
-
-    name = "sync-lock"
-    DELAY = 1_000_000
-
-    def regions(self, nprocs):
-        return {"pad": 4096}
-
-    def init_data(self, ctx):
-        pass
-
-    def programs(self, ctx):
-        from repro.apps import ops
-
-        def manager_node():
-            yield ops.Compute(1)
-
-        def first_holder():
-            yield ops.Acquire(0)
-            yield ops.Release(0)
-
-        def requester():
-            yield ops.Compute(self.DELAY)
-            yield ops.Acquire(0)
-            yield ops.Release(0)
-        return [manager_node(), requester(), first_holder()]
-
-    def verify(self, ctx):
-        return {}
-
-    def check_nprocs(self, nprocs):
-        pass
-
-
 @_register("x4", "Synchronization micro-costs", "§2.2 / §2.4.4",
            "Minimum remote lock acquisition and 8-processor barrier "
            "times; the kernel-level implementation roughly halves "
            "both.")
 def run_x4(scale: Scale) -> Report:
+    implementations = {
+        "user-level": DecTreadMarksMachine(),
+        "kernel-level": DecTreadMarksMachine(kernel_level=True)}
+    plan = RunPlan()
+    for machine in implementations.values():
+        plan.add(machine, LockPingApp(), 3)
+        plan.add(machine, BarrierOnlyApp(), 8)
+    results = execute_plan(plan)
     rows = []
     data = {}
-    for label, machine in (
-            ("user-level", DecTreadMarksMachine()),
-            ("kernel-level", DecTreadMarksMachine(kernel_level=True))):
-        lock_run = machine.run(_LockPingApp(), 3)
-        lock_cycles = lock_run.cycles - _LockPingApp.DELAY
+    for (label, machine), lock_run, barrier_run in zip(
+            implementations.items(), results[::2], results[1::2]):
+        lock_cycles = lock_run.cycles - LockPingApp.DELAY
         lock_ms = 1e3 * lock_cycles / machine.clock_hz
-        barrier_run = machine.run(_BarrierOnlyApp(), 8)
         barrier_ms = 1e3 * barrier_run.seconds
         rows.append([label, lock_ms, barrier_ms])
         data[label] = {"lock_ms": lock_ms, "barrier_ms": barrier_ms}
@@ -550,25 +479,28 @@ def run_x4(scale: Scale) -> Report:
            "Whole-page transfers multiply data movement for "
            "fine-grain-write applications.")
 def run_a1(scale: Scale) -> Report:
+    series = run_curves({
+        (workload, diffs): (
+            DecTreadMarksMachine(ablate=AblationSpec(diffs=diffs)),
+            app, (8,))
+        for workload in ("sor_small", "mwater")
+        for app in [make_app(workload, scale)]
+        for diffs in (True, False)})
     rows = []
     data = {}
-    for workload in ("sor_small", "mwater"):
-        for diffs in (True, False):
-            machine = DecTreadMarksMachine(ablate=AblationSpec(diffs=diffs))
-            app = make_app(workload, scale)
-            series = speedup_series(machine, app, (1, 8))
-            p8 = series.at(8)
-            rows.append([app.name, machine.name, series.speedups()[8],
-                         p8.counters.total_bytes // 1024])
-            data[(workload, diffs)] = {
-                "speedup": series.speedups()[8],
-                "bytes": p8.counters.total_bytes,
-            }
+    for (workload, diffs), s in series.items():
+        p8 = s.at(8)
+        rows.append([s.app, s.machine, s.speedups()[8],
+                     p8.counters.total_bytes // 1024])
+        data[f"{workload}|diffs={diffs}"] = {
+            "speedup": s.speedups()[8],
+            "bytes": p8.counters.total_bytes,
+        }
     report = Report("a1", "Diff-based vs whole-page data movement "
                           "(8 processors)")
     report.lines = fmt.format_table(
         ["program", "machine", "speedup@8", "total KB"], rows)
-    report.data = {f"{k[0]}|diffs={k[1]}": v for k, v in data.items()}
+    report.data = data
     return report
 
 
@@ -577,21 +509,23 @@ def run_a1(scale: Scale) -> Report:
            "Eager release helps the unsynchronized-read pattern (TSP) "
            "and hurts high-lock-rate applications (more messages).")
 def run_a2(scale: Scale) -> Report:
+    workloads = ("tsp19", "mwater", "sor_small")
+    series = run_curves({
+        (workload, eager): (DecTreadMarksMachine(eager_locks=eager),
+                            app, (8,))
+        for workload in workloads
+        for app in [make_app(workload, scale)]
+        for eager in (None, "all")})
     rows = []
     data = {}
-    for workload in ("tsp19", "mwater", "sor_small"):
-        lazy = speedup_series(DecTreadMarksMachine(),
-                              make_app(workload, scale), (1, 8))
-        eager = speedup_series(DecTreadMarksMachine(eager_locks="all"),
-                               make_app(workload, scale), (1, 8))
-        rows.append([workload, lazy.speedups()[8], eager.speedups()[8],
-                     lazy.at(8).counters.total_messages,
-                     eager.at(8).counters.total_messages])
+    for workload in workloads:
+        lazy, eager = series[workload, None], series[workload, "all"]
         data[workload] = {
             "lazy": lazy.speedups()[8], "eager": eager.speedups()[8],
             "lazy_msgs": lazy.at(8).counters.total_messages,
             "eager_msgs": eager.at(8).counters.total_messages,
         }
+        rows.append([workload, *data[workload].values()])
     report = Report("a2", "Lazy vs eager release (8 processors)")
     report.lines = fmt.format_table(
         ["program", "lazy sp", "eager sp", "lazy msgs", "eager msgs"],
@@ -605,26 +539,27 @@ def run_a2(scale: Scale) -> Report:
            "bus and the per-node DSM serialize.")
 def run_a3(scale: Scale) -> Report:
     procs = max(SIMULATED_PROCS[scale])
+    params = HybridMachine().params
+    series = run_curves({
+        (workload, node_size): (
+            HybridMachine(replace(params, procs_per_node=node_size)),
+            make_app(workload, scale), (procs,))
+        for node_size in (1, 2, 4, 8, 16)
+        for workload in ("sor_small", "mwater")})
     rows = []
     data = {}
-    for node_size in (1, 2, 4, 8, 16):
-        from dataclasses import replace
-        params = replace(HybridMachine().params, procs_per_node=node_size)
-        machine = HybridMachine(params)
-        for workload in ("sor_small", "mwater"):
-            app = make_app(workload, scale)
-            series = speedup_series(machine, app, (1, procs))
-            r = series.at(procs)
-            rows.append([workload, node_size, series.speedups()[procs],
-                         r.counters.total_messages])
-            data[(workload, node_size)] = {
-                "speedup": series.speedups()[procs],
-                "messages": r.counters.total_messages,
-            }
+    for (workload, node_size), s in series.items():
+        r = s.at(procs)
+        rows.append([workload, node_size, s.speedups()[procs],
+                     r.counters.total_messages])
+        data[f"{workload}|node={node_size}"] = {
+            "speedup": s.speedups()[procs],
+            "messages": r.counters.total_messages,
+        }
     report = Report("a3", f"HS node-size sweep at {procs} processors")
     report.lines = fmt.format_table(
         ["program", "procs/node", "speedup", "messages"], rows)
-    report.data = {f"{k[0]}|node={k[1]}": v for k, v in data.items()}
+    report.data = data
     return report
 
 
@@ -887,30 +822,22 @@ def run_sync_sweep(scale: Scale) -> Report:
     # 1-processor baselines dedup across policies: a software machine's
     # uniprocessor fingerprint hides everything non-local, including
     # the sync policy, so each (machine, workload) baseline runs once.
-    plan = RunPlan()
-    layout = []
+    curves = {}
     for mname in opts.machines:
         for workload in opts.workloads:
             app = make_app(workload, scale)
             for policy in policies:
-                machine = make_machine(mname, sync=policy)
-                indices = plan.add_series(machine, app, (1,) + procs)
-                layout.append((mname, workload, policy, machine, indices))
-    results = execute_plan(plan)
+                curves[mname, workload, policy.label()] = (
+                    make_machine(mname, sync=policy), app, (1,) + procs)
 
     rows = []
     data: Dict[str, Dict] = {}
-    for mname, workload, policy, machine, indices in layout:
-        base = results[indices[0]]
-        series = SpeedupSeries(machine.name, workload, base.seconds)
-        for index in indices:
-            series.add(results[index])
+    for (mname, workload, label), series in run_curves(curves).items():
         r_top = series.at(top)
         c = r_top.counters
-        rows.append([mname, workload, policy.label(),
+        rows.append([mname, workload, label,
                      series.speedups()[top], c.combining_hits])
-        data.setdefault(workload, {}).setdefault(mname, {})[
-            policy.label()] = {
+        data.setdefault(workload, {}).setdefault(mname, {})[label] = {
             "speedups": {str(p): s for p, s in series.speedups().items()},
             "seconds": r_top.seconds,
             "combining_hits": c.combining_hits,

@@ -45,12 +45,3 @@ def format_speedups(series: Dict[str, Dict[int, float]],
         rows.append([name] + [points.get(p, float("nan")) for p in procs])
     return format_table(headers, rows)
 
-
-def format_percent_breakdown(title: str, parts: Dict[str, float],
-                             total: float) -> List[str]:
-    """Render components of ``total`` as percentages."""
-    lines = [title]
-    for name, value in parts.items():
-        pct = 100.0 * value / total if total else 0.0
-        lines.append(f"  {name:<24s} {value:>14,.0f}  ({pct:5.1f}%)")
-    return lines

@@ -31,7 +31,8 @@ name, exactly as a fresh run would have).
 Tracing interacts specially: inside a ``trace_session(trace=True)``
 scope, spans must be collected live in this process, so plans execute
 serially and bypass the cache (the deduplicated work list is
-unchanged, keeping traced and untraced run counts equal).
+unchanged, keeping traced and untraced run counts equal, and the
+ledger records each run as usual).
 
 Provenance and progress
 -----------------------
@@ -83,7 +84,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -175,8 +176,8 @@ def run_context(*, jobs: int = 1,
     The experiment registry calls :func:`execute_plan` without
     threading options through every figure function; the CLI installs
     one context around a whole command instead.  ``ledger`` opens a
-    :func:`~repro.ledger.ledger_session` for the scope: every plan and
-    every bare ``Machine.run`` inside appends provenance records.
+    :func:`~repro.ledger.ledger_session` for the scope: every plan
+    inside appends one provenance record per unique run.
     """
     ctx = RunContext(jobs=jobs, cache=cache, quiet=quiet)
     _CONTEXT_STACK.append(ctx)
@@ -310,22 +311,25 @@ def _spec_label(spec: RunSpec) -> str:
 
 
 def _run_spec(spec: RunSpec, run_id: Optional[str] = None,
-              announce: bool = False) -> Tuple[RunResult, float]:
+              announce: bool = False,
+              traced: bool = False) -> Tuple[RunResult, float]:
     """Execute one spec; returns ``(result, wall_seconds)``.
 
-    Runs with session auto-record suppressed (the plan layer records
-    results itself, in plan order) and inside ``run_scope(run_id)`` so
-    the result — whether produced here in the parent or in a pool
-    worker — is stamped with the ledger identity the parent allocated.
-    ``announce`` prints a start line to stderr; in the pool that line
-    comes from the worker, marking *actual* start rather than
-    submission.
+    Runs inside ``run_scope(run_id)`` so the result — whether produced
+    here in the parent or in a pool worker — is stamped with the
+    ledger identity the parent allocated.  Session auto-record is
+    suppressed (the plan layer records results itself, in plan order)
+    unless ``traced``: a live tracing session needs ``Machine.run`` to
+    record each (result, tracer) pair.  ``announce`` prints a start
+    line to stderr; in the pool that line comes from the worker,
+    marking *actual* start rather than submission.
     """
     if announce:
         _progress_write(f"[run {run_id or '-'}] start "
                         f"{_spec_label(spec)} pid={os.getpid()}\n")
     start = time.perf_counter()
-    with trace_session.no_session(), run_scope(run_id):
+    with (nullcontext() if traced
+          else trace_session.no_session()), run_scope(run_id):
         result = spec.machine.run(spec.app, spec.nprocs,
                                   seed=spec.seed, params=spec.params)
     return result, time.perf_counter() - start
@@ -348,25 +352,6 @@ def _localize(result: RunResult, spec: RunSpec) -> RunResult:
     if result.machine == spec.machine.name:
         return result
     return dataclasses.replace(result, machine=spec.machine.name)
-
-
-def _execute_traced(specs: Sequence[RunSpec],
-                    keys: Sequence[str]) -> List[RunResult]:
-    """Serial execution inside a live tracing session.
-
-    Runs the deduplicated work list in plan order; ``Machine.run``
-    records each (result, tracer) pair into the session itself.
-    """
-    by_key: Dict[str, RunResult] = {}
-    results: List[Optional[RunResult]] = [None] * len(specs)
-    for i, spec in enumerate(specs):
-        produced = by_key.get(keys[i])
-        if produced is None:
-            produced = spec.machine.run(spec.app, spec.nprocs,
-                                        seed=spec.seed, params=spec.params)
-            by_key[keys[i]] = produced
-        results[i] = _localize(produced, spec)
-    return results  # type: ignore[return-value]
 
 
 #: Isolated attempts a spec gets after a worker crash before it is
@@ -463,12 +448,13 @@ def execute_plan(plan: RunPlan, *, jobs: Optional[int] = None,
     keys = [spec.key() for spec in specs]
 
     session = trace_session.active_session()
-    if session is not None and session.trace:
-        return _execute_traced(specs, keys)
+    traced = session is not None and session.trace
 
     context = current_context()
     jobs = resolve_jobs(jobs)
-    if cache is None:
+    if traced:
+        jobs, cache = 1, None     # spans are collected live, here
+    elif cache is None:
         cache = context.cache
     if ledger is None:
         ledger = active_ledger()
@@ -560,7 +546,7 @@ def execute_plan(plan: RunPlan, *, jobs: Optional[int] = None,
     else:
         for key, spec in work:
             produced[key], walls[key] = _run_spec(
-                spec, run_id_of(key), announce=not quiet)
+                spec, run_id_of(key), announce=not quiet, traced=traced)
             progress_done(key, spec)
 
     if cache is not None:
@@ -590,29 +576,9 @@ def execute_plan(plan: RunPlan, *, jobs: Optional[int] = None,
     for i, key in enumerate(keys):
         results[i] = _localize(produced[key], specs[i])
 
-    if session is not None:
+    if session is not None and not traced:
         for key in unique_order:
             session.record(results[first_index[key]], None)
 
     return results  # type: ignore[return-value]
 
-
-def run_grid(entries: Sequence[Tuple[str, Machine, Application, int]], *,
-             jobs: Optional[int] = None,
-             cache: Optional[ResultCache] = None
-             ) -> Dict[str, RunResult]:
-    """Execute tagged runs; returns ``{tag: result}``.
-
-    Convenience over :class:`RunPlan` for experiments whose grids are
-    naturally keyed (workload names, machine labels) rather than
-    positional.  Tags must be unique.
-    """
-    plan = RunPlan()
-    tags: List[str] = []
-    for tag, machine, app, nprocs in entries:
-        if tag in tags:
-            raise ValueError(f"duplicate grid tag {tag!r}")
-        tags.append(tag)
-        plan.add(machine, app, nprocs)
-    results = execute_plan(plan, jobs=jobs, cache=cache)
-    return dict(zip(tags, results))

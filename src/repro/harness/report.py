@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.harness.experiments import REGISTRY, run_experiment
-from repro.harness.runner import compare_machines
+from repro.harness.runner import run_curves
 from repro.harness.workloads import Scale, make_app
 from repro.machines import (AllHardwareMachine, AllSoftwareMachine,
                             DecTreadMarksMachine, HybridMachine,
@@ -72,18 +72,15 @@ def speedup_pin_data() -> Dict[str, Dict[str, Dict[str, Any]]]:
     the ambient context, so under ``repro-harness report`` they are
     cached, ledger-recorded, and pooled.
     """
-    data: Dict[str, Dict[str, Dict[str, Any]]] = {}
-    for workload in PIN_WORKLOADS:
-        app = make_app(workload, Scale.TEST)
-        for name, series in compare_machines(_pin_machines(), app,
-                                             PIN_PROCS).items():
-            data[f"{workload}/{name}"] = {
-                "cycles": {str(r.nprocs): r.cycles
-                           for r in series.points},
-                "speedups": {str(n): round(s, 9)
-                             for n, s in series.speedups().items()},
-            }
-    return data
+    curves = {f"{workload}/{machine.name}": (machine, app, PIN_PROCS)
+              for workload in PIN_WORKLOADS
+              for app in [make_app(workload, Scale.TEST)]
+              for machine in _pin_machines()}
+    return {key: {"cycles": {str(r.nprocs): r.cycles
+                             for r in series.points},
+                  "speedups": {str(n): round(s, 9)
+                               for n, s in series.speedups().items()}}
+            for key, series in run_curves(curves).items()}
 
 
 def _canon(value: Any) -> Any:

@@ -165,8 +165,9 @@ def run_record(*, run_id: str, key: str, attempt: int,
     ``path`` is the cache outcome (``"miss"`` — simulated; ``"hit"`` —
     served from the cache, ``produced_by`` naming the producing
     run_id; ``"fresh"`` — simulated with no cache in play) and
-    ``executor`` is where it ran (``"serial"``, ``"pool"``,
-    ``"cache"``, or ``"direct"`` for a bare ``Machine.run``).
+    ``executor`` is where it ran (``"serial"``, ``"pool"`` or
+    ``"cache"``).  Only the plan layer builds records: a bare
+    ``Machine.run`` outside a plan is not recorded.
     """
     # Lazy imports: machines.base and check.checker import this package.
     from repro.check.checker import active_check_config

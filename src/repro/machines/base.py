@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import time
 from enum import Enum
 from typing import Any, Callable, Dict, Optional
 
@@ -22,8 +21,7 @@ from repro.apps import ops
 from repro.check.checker import active_check_config
 from repro.dsm.bound import BoundMode, SharedBound
 from repro.errors import ConfigurationError, SimulationError
-from repro.ledger import (active_ledger, current_run_id, run_record,
-                          run_scope)
+from repro.ledger import current_run_id, run_scope
 from repro.mem.layout import AddressSpace, Geometry
 from repro.mem.store import SharedStore
 from repro.net.faults import FaultPlan
@@ -400,23 +398,10 @@ class Machine:
             tracer = session.new_tracer(
                 f"{self.name}/{app.name}/p{nprocs}")
 
-        # Provenance: an enclosing executor (the parallel runner, a
-        # pool worker) has already allocated this run's ledger
-        # identity and owns the record; a bare Machine.run inside a
-        # ledger session allocates its own and appends a "direct"
-        # record below.
+        # Provenance: the plan layer allocates this run's ledger
+        # identity (in this process or a pool worker) and appends the
+        # record; the run only carries the id (None outside a plan).
         run_id = current_run_id()
-        ledger = None
-        ledger_key = None
-        ledger_attempt = 0
-        if run_id is None:
-            ledger = active_ledger()
-            if ledger is not None:
-                from repro.harness.cache import run_key  # lazy: cycle
-                ledger_key = run_key(self, app, nprocs, seed=seed,
-                                     params=params)
-                run_id, ledger_attempt = ledger.next_run_id(ledger_key)
-        wall_start = time.perf_counter()
 
         engine = Engine(tracer=tracer)
         engine.watchdog_cycles = self.watchdog_cycles
@@ -483,13 +468,6 @@ class Machine:
             run_id=run_id,
             degraded=degraded,
         )
-        if ledger is not None:
-            ledger.append(run_record(
-                run_id=run_id, key=ledger_key, attempt=ledger_attempt,
-                machine=self, app=app, nprocs=nprocs, seed=seed,
-                params=params, result=result, path="fresh",
-                executor="direct",
-                wall_s=time.perf_counter() - wall_start))
         if session is not None:
             session.record(result, tracer)
         return result

@@ -97,33 +97,3 @@ class MultiResource:
     def acquisitions(self) -> int:
         return sum(s.acquisitions for s in self.servers)
 
-
-class ResourceGroup:
-    """A named collection of resources (e.g. per-node link ports).
-
-    Creates members lazily so callers can index by node id without
-    pre-declaring the population.
-    """
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = prefix
-        self._members: dict = {}
-
-    def __getitem__(self, key) -> Resource:
-        member = self._members.get(key)
-        if member is None:
-            member = Resource(f"{self.prefix}[{key}]")
-            self._members[key] = member
-        return member
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def values(self):
-        return self._members.values()
-
-    def total_busy(self) -> int:
-        return sum(r.total_busy for r in self._members.values())
-
-    def total_acquisitions(self) -> int:
-        return sum(r.acquisitions for r in self._members.values())

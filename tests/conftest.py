@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import sys
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from repro.apps import ops
 from repro.apps.base import Application
+from repro.harness import parallel
+from repro.harness.experiments import (Report, Scale, run_experiment,
+                                       sweep_options)
 from repro.machines import (AllHardwareMachine, AllSoftwareMachine,
                             DecTreadMarksMachine, HybridMachine, SgiMachine)
+from repro.machines.base import Machine
 from repro.mem.layout import AddressSpace, Geometry
 from repro.mem.store import SharedStore
 from repro.net.atm import AtmNetwork
@@ -146,3 +153,76 @@ def pingpong():
 @pytest.fixture
 def lockcounter():
     return LockCounterApp()
+
+
+# ======================================================================
+# Registry experiments, run once per session
+# ======================================================================
+
+#: Reduced grids for the sweep experiments: the predicates only need
+#: one cell of each kind they read, and tier-1 should not pay for the
+#: full design spaces (``validate --scale bench`` in CI does).
+REDUCED_SWEEPS = {
+    "sync-sweep": dict(locks=("token",), barriers=("central", "tree"),
+                       workloads=("mwater",), machines=("as", "ah")),
+    "failure-sweep": dict(fracs=(0.5,), workloads=("sor_sim",),
+                          machines=("as",)),
+    "ablation-sweep": dict(mechanisms=("diffs", "piggyback"),
+                           workloads=("mwater",), machines=("as",)),
+}
+
+
+class RegistryRun(NamedTuple):
+    """One experiment's report and how its runs were executed."""
+
+    report: Report
+    #: ``execute_plan`` calls the experiment made.
+    plans: int
+    #: ``Machine.run`` calls made outside any ``execute_plan``.
+    bare_runs: int
+
+
+def _run_counted(exp_id: str) -> RegistryRun:
+    real_plan, real_run = parallel.execute_plan, Machine.run
+    counts = {"plans": 0, "depth": 0, "bare_runs": 0}
+
+    def counting_plan(*args, **kwargs):
+        counts["plans"] += 1
+        counts["depth"] += 1
+        try:
+            return real_plan(*args, **kwargs)
+        finally:
+            counts["depth"] -= 1
+
+    def counting_run(self, *args, **kwargs):
+        if not counts["depth"]:
+            counts["bare_runs"] += 1
+        return real_run(self, *args, **kwargs)
+
+    reduced = (sweep_options(exp_id, **REDUCED_SWEEPS[exp_id])
+               if exp_id in REDUCED_SWEEPS else contextlib.nullcontext())
+    with pytest.MonkeyPatch.context() as mp, reduced:
+        for module in list(sys.modules.values()):
+            if vars(module).get("execute_plan") is real_plan:
+                mp.setattr(module, "execute_plan", counting_plan)
+        mp.setattr(Machine, "run", counting_run)
+        report = run_experiment(exp_id, Scale.TEST)
+    return RegistryRun(report, counts["plans"], counts["bare_runs"])
+
+
+@pytest.fixture(scope="session")
+def registry_runs():
+    """``get(exp_id)`` -> :class:`RegistryRun` at ``Scale.TEST``.
+
+    Each experiment runs once per session (sweeps on
+    :data:`REDUCED_SWEEPS`), so the structure, predicate and run-path
+    tests share one simulation of every report.
+    """
+    runs = {}
+
+    def get(exp_id: str) -> RegistryRun:
+        if exp_id not in runs:
+            runs[exp_id] = _run_counted(exp_id)
+        return runs[exp_id]
+
+    return get

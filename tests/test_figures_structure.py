@@ -7,20 +7,13 @@ EXPERIMENTS.md and the benchmark archive rely on.
 
 import pytest
 
-from repro.harness.experiments import Scale, run_experiment
+from repro.harness.experiments import Scale
 from repro.harness.workloads import SIMULATED_PROCS
 
 
 @pytest.fixture(scope="module")
-def reports():
-    cache = {}
-
-    def get(exp_id):
-        if exp_id not in cache:
-            cache[exp_id] = run_experiment(exp_id, Scale.TEST)
-        return cache[exp_id]
-
-    return get
+def reports(registry_runs):
+    return lambda exp_id: registry_runs(exp_id).report
 
 
 @pytest.mark.parametrize("fig", [f"fig{i}" for i in range(1, 9)])

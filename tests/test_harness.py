@@ -68,12 +68,6 @@ def test_format_speedups():
     assert "1.90" in lines[2]
 
 
-def test_format_percent_breakdown():
-    lines = fmt.format_percent_breakdown("total", {"x": 25.0}, 100.0)
-    assert "25.0%" in lines[1].replace(" ", "").replace("(", " (") or \
-        "25.0" in lines[1]
-
-
 def test_run_t1_at_test_scale_structure():
     report = run_experiment("t1", Scale.TEST)
     assert report.exp_id == "t1"

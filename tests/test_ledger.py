@@ -10,7 +10,6 @@ serially, on the pool, or was served from a warm cache.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -21,6 +20,7 @@ from repro.harness.parallel import RunPlan, execute_plan, run_context
 from repro.harness.workloads import Scale, make_app
 from repro.ledger import (Ledger, ledger_session, make_run_id, run_scope)
 from repro.machines import DecTreadMarksMachine, SgiMachine
+from repro.trace import trace_session
 from repro.trace.export import metrics_record
 
 
@@ -150,38 +150,45 @@ def test_run_context_ledger_alone_records_every_run(tmp_path):
     assert ([rec["run_id"] for rec in ledger.records()] ==
             [r.run_id for r in results])
     assert len(ledger) == len(_plan())
+    # run_id is identity, not measurement: summaries stay id-free.
+    assert all("run_id" not in r.summary() for r in results)
 
 
-def test_run_context_ledger_alone_records_bare_machine_runs(tmp_path):
-    """``run_context(ledger=L)`` is the one ledger scope: x4 calls
-    ``Machine.run`` directly (no plan), and its four runs must still be
-    recorded without a ``ledger_session`` opened beside it."""
+def test_traced_plan_appends_fresh_records(tmp_path):
+    """A live tracing session runs plans serially and uncached; the
+    plan layer still records each unique run, with the id it stamped
+    on the result the session collected."""
+    ledger = Ledger(str(tmp_path / "traced.jsonl"))
+    cache = ResultCache(str(tmp_path / "cache"))
+    with run_context(cache=cache, ledger=ledger), \
+            trace_session(trace=True) as session:
+        execute_plan(_plan())
+    records = list(ledger.records())
+    assert [(rec["path"], rec["executor"]) for rec in records] == \
+        [("fresh", "serial")] * len(_plan())
+    assert session.run_ids == [rec["run_id"] for rec in records]
+
+
+def test_x4_runs_are_plan_records_and_rerun_is_all_hits(tmp_path):
+    """x4's four micro-benchmark cells go through the plan layer like
+    every other experiment: recorded under ``run_context(ledger=L)``
+    alone, cached, and served from the cache on a second run."""
     from repro.harness.experiments import Scale, run_experiment
     ledger = Ledger(str(tmp_path / "x4.jsonl"))
-    with run_context(ledger=ledger):
-        run_experiment("x4", Scale.TEST)
-    assert [rec["executor"] for rec in ledger.records()] == ["direct"] * 4
+    cache = ResultCache(str(tmp_path / "cache"))
+    with run_context(cache=cache, ledger=ledger):
+        first = run_experiment("x4", Scale.TEST)
+        second = run_experiment("x4", Scale.TEST)
+    assert [rec["path"] for rec in ledger.records()] == \
+        ["miss"] * 4 + ["hit"] * 4
+    assert {rec["executor"] for rec in ledger.records()} == \
+        {"serial", "cache"}
+    assert second.data == first.data
 
 
 # ======================================================================
-# Direct Machine.run and downstream correlation
+# Downstream correlation
 # ======================================================================
-def test_direct_run_appends_record_and_stamps_result(tmp_path, app):
-    ledger = Ledger(str(tmp_path / "ledger.jsonl"))
-    with ledger_session(ledger):
-        result = DecTreadMarksMachine().run(app, 2)
-    (record,) = ledger.records()
-    assert record["path"] == "fresh"
-    assert record["executor"] == "direct"
-    assert record["run_id"] == result.run_id
-    assert record["cycles"] == result.cycles
-    assert record["machine"] == result.machine
-    assert record["nprocs"] == 2
-    assert record["pid"] == os.getpid()
-    # run_id is identity, not measurement: summaries stay id-free.
-    assert "run_id" not in result.summary()
-
-
 def test_no_ledger_means_no_run_id(app):
     result = DecTreadMarksMachine().run(app, 1)
     assert result.run_id is None
@@ -190,8 +197,10 @@ def test_no_ledger_means_no_run_id(app):
 
 def test_metrics_record_carries_run_id(tmp_path, app):
     ledger = Ledger(str(tmp_path / "ledger.jsonl"))
+    plan = RunPlan()
+    plan.add(DecTreadMarksMachine(), app, 1)
     with ledger_session(ledger):
-        result = DecTreadMarksMachine().run(app, 1)
+        (result,) = execute_plan(plan)
     assert metrics_record(result)["run_id"] == result.run_id
     assert result.run_id is not None
 

@@ -11,9 +11,9 @@ import repro.harness.parallel as parallel
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import (RunPlan, current_context,
                                     effective_workers, execute_plan,
-                                    resolve_jobs, run_context, run_grid,
+                                    resolve_jobs, run_context,
                                     shutdown_pool)
-from repro.harness.runner import compare_machines, speedup_series
+from repro.harness.runner import run_curves, speedup_series
 from repro.harness.workloads import Scale, make_app
 from repro.machines import DecTreadMarksMachine, SgiMachine
 from repro.net.faults import FaultPlan
@@ -25,12 +25,16 @@ def app():
     return make_app("sor_small", Scale.TEST)
 
 
+def _curves(machines, jobs, cache):
+    """One (1, 2)-processor curve per machine, keyed by machine name."""
+    app = make_app("sor_small", Scale.TEST)
+    with run_context(jobs=jobs, cache=cache):
+        return run_curves({m.name: (m, app, (1, 2)) for m in machines})
+
+
 def _grid_summaries(jobs, cache):
     """The pinned grid: two machine families x (1, 2) processors."""
-    app = make_app("sor_small", Scale.TEST)
-    series = compare_machines(
-        [DecTreadMarksMachine(), SgiMachine()], app, (1, 2),
-        jobs=jobs, cache=cache)
+    series = _curves([DecTreadMarksMachine(), SgiMachine()], jobs, cache)
     summaries = {name: [r.summary() for r in s.points]
                  for name, s in series.items()}
     speedups = {name: s.speedups() for name, s in series.items()}
@@ -51,12 +55,11 @@ def test_serial_pool_and_cache_identical(tmp_path):
 
 def _fault_grid_summaries(jobs, cache, seed):
     """Faulty grid: clean vs. lossy TreadMarks at (1, 2) processors."""
-    app = make_app("sor_small", Scale.TEST)
-    series = compare_machines(
+    series = _curves(
         [DecTreadMarksMachine(),
          DecTreadMarksMachine(faults=FaultPlan(loss_rate=0.15,
                                                seed=seed))],
-        app, (1, 2), jobs=jobs, cache=cache)
+        jobs, cache)
     summaries = {name: [r.summary() for r in s.points]
                  for name, s in series.items()}
     retrans = {name: [r.counters.retransmissions for r in s.points]
@@ -120,23 +123,15 @@ def test_shared_baseline_one_store_for_two_variants(app, tmp_path):
     assert results[0].cycles == results[2].cycles
 
 
-def test_speedup_series_reuses_base_result(app):
-    machine = DecTreadMarksMachine()
-    base = machine.run(app, 1)
-    series = speedup_series(machine, app, (1, 2), base_result=base)
-    assert series.at(1) is base
-    plain = speedup_series(machine, app, (1, 2))
-    assert series.speedups() == plain.speedups()
-
-
-def test_run_grid_tags(app):
-    grid = run_grid([("tm", DecTreadMarksMachine(), app, 2),
-                     ("sgi", SgiMachine(), app, 2)])
-    assert set(grid) == {"tm", "sgi"}
-    assert grid["tm"].machine == "treadmarks"
-    with pytest.raises(ValueError):
-        run_grid([("x", SgiMachine(), app, 1),
-                  ("x", SgiMachine(), app, 2)])
+def test_speedup_series_reuses_base_result(app, tmp_path):
+    """The base run and the series' 1-proc point are one spec key: the
+    plan simulates and stores it once, and both read the same run."""
+    cache = ResultCache(str(tmp_path))
+    with run_context(cache=cache):
+        series = speedup_series(DecTreadMarksMachine(), app, (1, 2))
+    assert cache.stats()["stores"] == 2
+    assert series.base_seconds == series.at(1).seconds
+    assert series.speedups()[1] == 1.0
 
 
 def test_effective_workers_clamps_to_cores_and_work(monkeypatch):

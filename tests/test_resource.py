@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from repro.sim.resource import MultiResource, Resource, ResourceGroup
+from repro.sim.resource import MultiResource, Resource
 
 
 def test_uncontended_acquire_starts_immediately():
@@ -73,17 +73,6 @@ def test_peek_does_not_reserve():
     r.acquire(0, 100)
     assert r.peek(10) == 100
     assert r.busy_until == 100
-
-
-def test_group_lazily_creates_members():
-    g = ResourceGroup("link")
-    assert len(g) == 0
-    g[3].acquire(0, 10)
-    g[7].acquire(0, 20)
-    assert len(g) == 2
-    assert g.total_busy() == 30
-    assert g.total_acquisitions() == 2
-    assert g[3] is g[3]
 
 
 class _MinKeyMultiResource:

@@ -1,12 +1,10 @@
 """The executable shape-claim checks."""
 
-import contextlib
 import copy
 
 import pytest
 
-from repro.harness.experiments import (REGISTRY, Report, Scale,
-                                       sweep_options)
+from repro.harness.experiments import REGISTRY, Report, Scale
 from repro.harness.validate import (CHECKS, ShapeCheck, format_results,
                                     run_validation)
 
@@ -166,38 +164,8 @@ def test_sweep_claim_holds_and_fails(name):
         assert check.evaluate(report) is False
 
 
-#: Reduced grids for the sweep experiments: the predicates only need
-#: one cell of each kind they read, and tier-1 should not pay for the
-#: full design spaces (``validate --scale bench`` in CI does).
-REDUCED_SWEEPS = {
-    "sync-sweep": dict(locks=("token",), barriers=("central", "tree"),
-                       workloads=("mwater",), machines=("as", "ah")),
-    "failure-sweep": dict(fracs=(0.5,), workloads=("sor_sim",),
-                          machines=("as",)),
-    "ablation-sweep": dict(mechanisms=("diffs", "piggyback"),
-                           workloads=("mwater",), machines=("as",)),
-}
-
-
 @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.name)
-def test_predicates_do_not_crash_on_real_reports(check, shared_reports):
+def test_predicates_do_not_crash_on_real_reports(check, registry_runs):
     """Every predicate must evaluate (True or False) on real data."""
-    report = shared_reports(check.exp_id)
+    report = registry_runs(check.exp_id).report
     assert check.evaluate(report) in (True, False)
-
-
-@pytest.fixture(scope="module")
-def shared_reports():
-    from repro.harness.experiments import run_experiment
-    cache = {}
-
-    def get(exp_id):
-        if exp_id not in cache:
-            reduced = (sweep_options(exp_id, **REDUCED_SWEEPS[exp_id])
-                       if exp_id in REDUCED_SWEEPS
-                       else contextlib.nullcontext())
-            with reduced:
-                cache[exp_id] = run_experiment(exp_id, Scale.TEST)
-        return cache[exp_id]
-
-    return get
