@@ -12,12 +12,13 @@ queueing when traffic converges on one node (e.g. TSP's shared queue).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.check.checker import DirectoryChecker, active_check_config
 from repro.errors import ConfigurationError
+from repro.mem import directcache
 from repro.mem.directcache import (AccessResult, CacheStack,
                                    DirectMappedCache, EXCLUSIVE, INVALID,
                                    MODIFIED)
@@ -117,14 +118,23 @@ class DirectorySystem:
         n_remote = int(counts.sum())
         if n_remote == 0:
             return now
+        remote = np.flatnonzero(counts)
+        return self._charge_remote(
+            proc, zip(remote.tolist(), counts[remote].tolist()),
+            n_remote, now)
+
+    def _charge_remote(self, proc: int, per_home: Iterable[Tuple[int, int]],
+                       n_remote: int, now: int) -> int:
+        """Occupy the ports for ``n_remote`` line transfers, ``(home,
+        count)`` in ascending home order; returns the end time."""
         wire_line = self.network.wire_cycles(self.line_bytes)
         wire_req = self.network.wire_cycles(self.request_bytes)
         self.counters.network_hops += 2 * n_remote
         _s, end = self.network.out_ports[proc].acquire(
             now, wire_req * n_remote)
-        for home in np.flatnonzero(counts).tolist():
+        for home, count in per_home:
             _s, h_end = self.network.out_ports[home].acquire(
-                now, wire_line * int(counts[home]))
+                now, wire_line * count)
             end = max(end, h_end)
         _s, in_end = self.network.in_ports[proc].acquire(
             now, wire_line * n_remote)
@@ -189,6 +199,8 @@ class DirectorySystem:
     def write(self, proc: int, first_line: int, last_line: int,
               now: int) -> int:
         """Bulk write; returns the completion time."""
+        if last_line - first_line <= directcache.SHORT_SPAN_LINES:
+            return self._write_short(proc, first_line, last_line, now)
         cache = self.caches[proc]
         res = cache.write(first_line, last_line)
         self.counters.cache_hits += res.hits
@@ -251,6 +263,75 @@ class DirectorySystem:
                 gone = evicted[~refetched]
                 self.owner[gone[self.owner[gone] == proc]] = -1
                 self.sharers[gone] &= ~_BITS[proc]
+
+    def _write_short(self, proc: int, first_line: int, last_line: int,
+                     now: int) -> int:
+        """:meth:`write` line by line, for a short span."""
+        hits, misses, upgrades, dirty_victims, clean_victims = (
+            self.caches[proc].access_short(first_line, last_line, True))
+        self.counters.cache_hits += hits
+        latency = int(hits * self.hit_cycles)
+        need_own = misses + upgrades
+        if not need_own and not dirty_victims:
+            return now + latency
+
+        page_home, owner, sharers = self._page_home, self.owner, self.sharers
+        tags, states = self.stack.tags, self.stack.states
+        bit = 1 << proc
+        n_expensive = n_local = n_dirty = n_pairs = 0
+        remote = {}
+        for line in need_own:
+            page = line // self.lines_per_page
+            home = page_home.item(page)
+            if home < 0:
+                page_home[page] = home = proc
+            own = owner.item(line)
+            dirty_remote = own >= 0 and own != proc
+            others = sharers.item(line) & ~bit
+            if others or dirty_remote:
+                # The sharer bits name every other copy (a dirty owner
+                # is its line's one sharer); invalidate them all.
+                n_expensive += 1
+                n_dirty += dirty_remote
+                s = line % self.stack.num_sets
+                while others:
+                    low = others & -others
+                    q = low.bit_length() - 1
+                    others ^= low
+                    n_pairs += 1
+                    if tags.item(q, s) == line:
+                        states[q, s] = INVALID
+                        tags[q, s] = -1
+            elif home == proc:
+                n_local += 1
+            if home != proc:
+                remote[home] = remote.get(home, 0) + 1
+            owner[line] = proc
+            sharers[line] = bit
+        n_remote_clean = len(need_own) - n_expensive - n_local
+        latency += (n_expensive * self.remote_dirty_cycles +
+                    n_local * self.local_miss_cycles +
+                    n_remote_clean * self.remote_clean_cycles)
+        self.counters.cache_misses_local += n_local
+        self.counters.cache_misses_remote += n_expensive + n_remote_clean
+        self.counters.invalidations += n_pairs
+        self.counters.writebacks += n_dirty + len(dirty_victims)
+
+        for evicted in (dirty_victims, clean_victims):
+            for line in evicted:
+                if tags.item(proc, line % self.stack.num_sets) != line:
+                    if owner.item(line) == proc:
+                        owner[line] = -1
+                    sharers[line] = sharers.item(line) & ~bit
+
+        end = now + latency
+        if remote:
+            end = self._charge_remote(proc, sorted(remote.items()),
+                                      sum(remote.values()), end)
+        if self.checker is not None:
+            self.checker.after_op("write", proc, end,
+                                  lines=np.array(need_own, dtype=np.int64))
+        return end
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:

@@ -16,7 +16,9 @@ from typing import List
 import numpy as np
 
 from repro.check.checker import SnoopChecker, active_check_config
-from repro.mem.directcache import CacheStack, DirectMappedCache, EXCLUSIVE
+from repro.mem import directcache
+from repro.mem.directcache import (CacheStack, DirectMappedCache, EXCLUSIVE,
+                                   INVALID, MODIFIED)
 from repro.net.bus import BusModel
 from repro.stats.counters import Counters
 from repro.trace.tracer import Category
@@ -127,6 +129,8 @@ class SnoopingSystem:
     def write(self, proc: int, first_line: int, last_line: int,
               now: int) -> int:
         """Bulk write; returns the completion time."""
+        if last_line - first_line <= directcache.SHORT_SPAN_LINES:
+            return self._write_short(proc, first_line, last_line, now)
         cache = self.caches[proc]
         res = cache.write(first_line, last_line)
         self.counters.cache_hits += res.hits
@@ -151,4 +155,38 @@ class SnoopingSystem:
         self.counters.writebacks += res.writebacks
         if self.checker is not None:
             self.checker.after_op("write", proc, end, lines=need_own)
+        return end
+
+    def _write_short(self, proc: int, first_line: int, last_line: int,
+                     now: int) -> int:
+        """:meth:`write` line by line, for a short span."""
+        hits, misses, upgrades, dirty_victims, _clean = (
+            self.caches[proc].access_short(first_line, last_line, True))
+        self.counters.cache_hits += hits
+        hit_cost = int(hits * self.hit_cycles)
+        self.counters.cache_misses_local += len(misses)
+
+        need_own = misses + upgrades
+        n_flush = present = 0
+        tags, states = self.stack.tags, self.stack.states
+        for line in need_own:
+            s = line % self.stack.num_sets
+            column = tags[:, s].tolist()
+            column[proc] = -1
+            if line not in column:
+                continue
+            for r, tag in enumerate(column):
+                if tag == line:
+                    present += 1
+                    n_flush += states.item(r, s) == MODIFIED
+                    states[r, s] = INVALID
+                    tags[r, s] = -1
+        self.counters.invalidations += present
+
+        end = self._miss_service(now + hit_cost, len(misses) + n_flush,
+                                 len(dirty_victims), len(upgrades))
+        self.counters.writebacks += len(dirty_victims)
+        if self.checker is not None:
+            self.checker.after_op("write", proc, end,
+                                  lines=np.array(need_own, dtype=np.int64))
         return end

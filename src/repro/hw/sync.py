@@ -110,6 +110,12 @@ class HwLockTable(_Serialized):
 
     # ------------------------------------------------------------------
     def acquire(self, lock_id: int, proc: int, done: DoneCallback) -> None:
+        """Take ``lock_id`` for ``proc``; ``done(time)`` runs once held.
+
+        A free lock last held here costs ``local_cycles``; one that
+        migrates from another processor pays a serialized transaction.
+        A held lock queues the request.
+        """
         lock = self._lock(lock_id)
         lock.acquires += 1
         if not lock.held:
@@ -132,6 +138,8 @@ class HwLockTable(_Serialized):
         lock.waiters.append((proc, done))
 
     def release(self, lock_id: int, proc: int, done: DoneCallback) -> None:
+        """Free ``lock_id`` (held by ``proc``), handing it to the first
+        waiter if any; ``done(time)`` runs when the release completes."""
         lock = self._lock(lock_id)
         if not lock.held or lock.holder != proc:
             raise ProtocolError(
@@ -155,6 +163,7 @@ class HwLockTable(_Serialized):
         return self._charge(at, self.handoff_cycles)
 
     def stats(self) -> Dict[int, Dict[str, int]]:
+        """Per lock id: total and contended acquire counts."""
         return {lid: {"acquires": lk.acquires, "contended": lk.contended}
                 for lid, lk in self._locks.items()}
 
@@ -269,6 +278,8 @@ class HwBarrier(_Serialized):
         self.completed = 0
 
     def arrive(self, barrier_id: int, proc: int, done: DoneCallback) -> None:
+        """Count ``proc`` in at ``barrier_id``; the last arrival releases
+        every waiter, whose ``done(time)`` then runs."""
         episode = self._episodes.get(barrier_id)
         if episode is None:
             episode = _HwBarrierEpisode()

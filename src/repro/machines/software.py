@@ -15,6 +15,7 @@ from repro.dsm.bound import BoundMode
 from repro.dsm.protocol import DsmConfig, TreadMarksDsm
 from repro.machines.base import Machine, Runtime, fingerprint_value
 from repro.machines.params import LocalCacheParams
+from repro.mem import directcache
 from repro.mem.directcache import DirectMappedCache
 from repro.mem.layout import AddressSpace, Geometry
 from repro.net.atm import AtmNetwork
@@ -59,13 +60,20 @@ class DsmRuntime(Runtime):
         charge the local memory hierarchy and resume ``task``."""
         proc = task.proc_id
         first, last = self.space.geometry.line_span(addr, nbytes)
+        short = last - first <= directcache.SHORT_SPAN_LINES
 
         def after(time: int) -> None:
-            res = self.caches[proc].access(first, last, write)
-            self.counters.cache_hits += res.hits
-            self.counters.cache_misses_local += res.misses
-            cost = (int(res.hits * self.cache_params.hit_cycles) +
-                    res.misses * self.cache_params.miss_cycles)
+            if short:
+                hits, miss_lines, *_rest = self.caches[proc].access_short(
+                    first, last, write)
+                misses = len(miss_lines)
+            else:
+                res = self.caches[proc].access(first, last, write)
+                hits, misses = res.hits, res.misses
+            self.counters.cache_hits += hits
+            self.counters.cache_misses_local += misses
+            cost = (int(hits * self.cache_params.hit_cycles) +
+                    misses * self.cache_params.miss_cycles)
             tracer = self.engine.tracer
             if tracer.enabled and cost:
                 tracer.complete(proc, Category.MISS, "local_mem",

@@ -21,6 +21,12 @@ carries tag ``-1``, so a tag match alone means "resident".
 The caches of one coherence domain (a snooping bus, the directory) are
 row views of one :class:`CacheStack`; what a protocol does to *peer*
 caches is defined there, once, over ``(cache, line)`` pairs.
+
+Lock-protected updates touch one or two lines at a time, where a numpy
+call costs more than the work it does.  A span of at most
+:data:`SHORT_SPAN_LINES` lines may instead go through
+:meth:`DirectMappedCache.access_short`, a per-line loop that finds
+exactly what :meth:`DirectMappedCache.access` finds, as plain lists.
 """
 
 from __future__ import annotations
@@ -35,6 +41,12 @@ INVALID = 0
 SHARED = 1
 EXCLUSIVE = 2
 MODIFIED = 3
+
+#: Longest span (in lines) that the coherence writes and the software
+#: machines' local-cache charge resolve line by line with
+#: :meth:`DirectMappedCache.access_short`; longer spans take the numpy
+#: path.  Set at the measured crossover of the two (DESIGN.md §5).
+SHORT_SPAN_LINES = 6
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -96,14 +108,17 @@ class AccessResult:
 
     @property
     def misses(self) -> int:
+        """Number of lines fetched."""
         return self.miss_lines.size
 
     @property
     def upgrades(self) -> int:
+        """Number of write hits found SHARED."""
         return self.upgrade_lines.size
 
     @property
     def writebacks(self) -> int:
+        """Number of dirty victims to write back."""
         return self.evicted_dirty_lines.size
 
 
@@ -137,9 +152,11 @@ class DirectMappedCache:
         return INVALID
 
     def resident_count(self) -> int:
+        """Number of valid (non-INVALID) lines held."""
         return int(np.count_nonzero(self.states != INVALID))
 
     def dirty_count(self) -> int:
+        """Number of MODIFIED lines held."""
         return int(np.count_nonzero(self.states == MODIFIED))
 
     def resident_lines(self) -> np.ndarray:
@@ -197,6 +214,44 @@ class DirectMappedCache:
                 states[:] = MODIFIED
         return AccessResult(hits, _concat(misses), _concat(upgrades),
                             _concat(dirty_victims), _concat(clean_victims))
+
+    def access_short(self, first_line: int, last_line: int, write: bool
+                     ) -> Tuple[int, List[int], List[int], List[int],
+                                List[int]]:
+        """:meth:`access` resolved one line at a time, for short spans.
+
+        Leaves the cache exactly as :meth:`access` would and returns
+        ``(hits, miss_lines, upgrade_lines, evicted_dirty_lines,
+        evicted_clean_lines)``, the lines as plain lists in the order
+        :meth:`access` reports them.
+        """
+        tags, states, num_sets = self.tags, self.states, self.num_sets
+        hits = 0
+        misses: List[int] = []
+        upgrades: List[int] = []
+        dirty_victims: List[int] = []
+        clean_victims: List[int] = []
+        for line in range(first_line, last_line):
+            s = line % num_sets
+            tag, state = tags.item(s), states.item(s)
+            if tag == line:
+                hits += 1
+                if not write or state == MODIFIED:
+                    continue
+                if state == SHARED:
+                    upgrades.append(line)
+            else:
+                misses.append(line)
+                if state == MODIFIED:
+                    dirty_victims.append(tag)
+                elif state != INVALID:
+                    clean_victims.append(tag)
+                tags[s] = line
+                if not write:
+                    states[s] = SHARED
+                    continue
+            states[s] = MODIFIED
+        return hits, misses, upgrades, dirty_victims, clean_victims
 
     def read(self, first_line: int, last_line: int) -> AccessResult:
         """Bulk read; missing lines fill SHARED, hits keep their state."""

@@ -64,6 +64,7 @@ class Geometry:
         return (nbytes + self.line_bytes - 1) // self.line_bytes
 
     def lines_per_page(self) -> int:
+        """Cache lines in one page."""
         return self.page_bytes // self.line_bytes
 
 
@@ -77,6 +78,7 @@ class Region:
 
     @property
     def end(self) -> int:
+        """First global address past the region."""
         return self.base + self.nbytes
 
     def addr(self, offset: int, nbytes: int = 1) -> int:
@@ -125,18 +127,22 @@ class AddressSpace:
 
     @property
     def regions(self) -> Dict[str, Region]:
+        """A copy of the name -> region map, in allocation order."""
         return dict(self._regions)
 
     @property
     def total_bytes(self) -> int:
+        """Bytes allocated so far (a whole number of pages)."""
         return self._next_base
 
     @property
     def total_pages(self) -> int:
+        """Pages allocated so far."""
         return self._next_base // self.geometry.page_bytes
 
     @property
     def total_lines(self) -> int:
+        """Cache lines allocated so far."""
         return self._next_base // self.geometry.line_bytes
 
     def span(self, region_name: str, offset: int,

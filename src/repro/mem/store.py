@@ -86,6 +86,7 @@ class SharedStore:
         return self._mem[addr:addr + nbytes].copy()
 
     def region(self, region_name: str) -> Region:
+        """The address-space region named ``region_name``."""
         return self.space[region_name]
 
     def checksum(self, region_name: str) -> int:

@@ -2,11 +2,17 @@
 
 ``tests/reference_coherence.py`` is the oracle.  Every script runs on
 both; after *every* operation the completion time, each cache's
-``tags``/``states``, the directory's ``owner``/``sharers`` and every
-``Counters`` field must be equal.  Caches have 8 sets, so scripts of
-lines 0..70 with lengths up to 20 hold one-line accesses, ranges that
-wrap the set index, ranges longer than the cache and lines evicted and
-refetched within one access.
+``tags``/``states``, the directory's ``owner``/``sharers``/page homes,
+every bus and crossbar-port ``Resource`` and every ``Counters`` field
+must be equal.  Caches have 8 sets, so scripts of lines 0..70 with
+lengths up to 20 hold one-line accesses, ranges that wrap the set
+index, ranges longer than the cache and lines evicted and refetched
+within one access.
+
+Writes of at most ``SHORT_SPAN_LINES`` lines take the per-line path
+(:meth:`DirectMappedCache.access_short`); the fixed script also runs
+with every write forced onto each path, the per-line one included on
+spans longer than the cache.
 """
 
 from dataclasses import asdict
@@ -18,8 +24,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError
 from repro.hw.directory import DirectorySystem
 from repro.hw.snoop import SnoopingSystem
+from repro.mem import directcache
 from repro.mem.directcache import (DirectMappedCache, EXCLUSIVE, MODIFIED,
-                                   SHARED)
+                                   SHARED, SHORT_SPAN_LINES)
 from repro.net.bus import BusModel, BusTiming
 from repro.net.crossbar import CrossbarNetwork
 from repro.sim.engine import Engine
@@ -47,7 +54,14 @@ FIXED_SCRIPT = [
     (5, False, 20, 20),   # long read across a dirty owner's lines
     (1, False, 24, 4),    # all hits
     (7, True, 2, 3),
+    (2, True, 40, SHORT_SPAN_LINES),          # longest per-line write
+    (3, True, 41, SHORT_SPAN_LINES + 1),      # shortest numpy write
+    (2, True, 41, SHORT_SPAN_LINES + 1),
+    (3, True, 40, SHORT_SPAN_LINES),
 ]
+
+#: ``SHORT_SPAN_LINES`` values that force every write onto one path.
+PATHS = {"numpy": 0, "per-line": 1 << 30}
 
 scripts = st.lists(
     st.tuples(st.integers(0, 63), st.booleans(), st.integers(0, 70),
@@ -76,14 +90,24 @@ def build_directory(system_cls, cache_cls, nprocs):
                       lines_per_page=4, line_bytes=LINE)
 
 
+def resources(system):
+    """Every bus or crossbar-port ``Resource`` the system charges."""
+    if hasattr(system, "bus"):
+        return [system.bus.resource]
+    return system.network.out_ports + system.network.in_ports
+
+
 def assert_same_state(new, ref, step):
     for cache, oracle in zip(new.caches, ref.caches):
         assert (cache.tags == oracle.tags).all(), (step, cache.name)
         assert (cache.states == oracle.states).all(), (step, cache.name)
     assert asdict(new.counters) == asdict(ref.counters), step
+    assert ([asdict(res) for res in resources(new)] ==
+            [asdict(res) for res in resources(ref)]), step
     if hasattr(ref, "owner"):
         assert (new.owner == ref.owner).all(), step
         assert (new.sharers == ref.sharers).all(), step
+        assert (new._page_home == ref._page_home).all(), step
         new.check_invariants()
 
 
@@ -120,6 +144,16 @@ def test_directory_fixed_script_matches_reference(nprocs):
     run_both(*directory_pair(nprocs), FIXED_SCRIPT, nprocs)
 
 
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("nprocs", PROCS)
+def test_fixed_script_matches_reference_on_each_path(nprocs, path,
+                                                     monkeypatch):
+    monkeypatch.setattr(directcache, "SHORT_SPAN_LINES", PATHS[path])
+    for hold_bus in (True, False):
+        run_both(*snoop_pair(nprocs, hold_bus), FIXED_SCRIPT, nprocs)
+    run_both(*directory_pair(nprocs), FIXED_SCRIPT, nprocs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(scripts, st.sampled_from(PROCS), st.booleans())
 def test_snoop_matches_reference(script, nprocs, hold_bus):
@@ -136,6 +170,10 @@ def test_directory_matches_reference(script, nprocs):
 # one case per branch of DirectMappedCache.access
 # ----------------------------------------------------------------------
 
+OUTCOMES = ("miss_lines", "upgrade_lines", "evicted_dirty_lines",
+            "evicted_clean_lines")
+
+
 def _prepared(cache_cls, prepare):
     cache = cache_cls(SETS * LINE, LINE)
     for first, last, write, promote in prepare:
@@ -145,7 +183,7 @@ def _prepared(cache_cls, prepare):
     return cache
 
 
-@pytest.mark.parametrize("prepare, access", [
+BRANCHES = [
     pytest.param([], (2, 6, False), id="slice-all-miss"),
     pytest.param([(2, 6, False, False)], (2, 6, False), id="slice-all-hit"),
     pytest.param([(2, 4, False, False)], (0, 6, True), id="slice-mixed"),
@@ -163,15 +201,30 @@ def _prepared(cache_cls, prepare):
     pytest.param([(3, 6, False, True)], (3, 6, True), id="exclusive-silent"),
     pytest.param([(3, 6, True, False)], (3, 6, True), id="modified-silent"),
     pytest.param([], (5, 5, True), id="empty"),
-])
+]
+
+
+@pytest.mark.parametrize("prepare, access", BRANCHES)
 def test_access_branch_matches_reference(prepare, access):
     cache = _prepared(DirectMappedCache, prepare)
     oracle = _prepared(ReferenceCache, prepare)
     res, expect = cache.access(*access), oracle.access(*access)
     assert res.hits == expect.hits
-    for name in ("miss_lines", "upgrade_lines", "evicted_dirty_lines",
-                 "evicted_clean_lines"):
+    for name in OUTCOMES:
         assert list(getattr(res, name)) == list(getattr(expect, name)), name
+    assert (cache.tags == oracle.tags).all()
+    assert (cache.states == oracle.states).all()
+
+
+@pytest.mark.parametrize("prepare, access", BRANCHES)
+def test_access_short_branch_matches_reference(prepare, access):
+    cache = _prepared(DirectMappedCache, prepare)
+    oracle = _prepared(ReferenceCache, prepare)
+    hits, *found = cache.access_short(*access)
+    expect = oracle.access(*access)
+    assert hits == expect.hits
+    for name, lines in zip(OUTCOMES, found):
+        assert lines == list(getattr(expect, name)), name
     assert (cache.tags == oracle.tags).all()
     assert (cache.states == oracle.states).all()
 

@@ -2,7 +2,8 @@
 
 A reference model — a dict from set to (tag, state) — is driven with
 the same operations; the vectorized implementation must agree with it
-on residency, dirtiness, and every miss/eviction count.
+on residency, dirtiness, and every miss/eviction count.  The per-line
+primitive ``access_short`` must find exactly what ``access`` finds.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -74,6 +75,27 @@ def test_matches_reference_model(op_list):
 
     dirty = ref.dirty()
     assert cache.dirty_count() == len(dirty)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops)
+def test_access_short_matches_access(op_list):
+    bulk = DirectMappedCache(NUM_SETS * LINE, LINE)
+    short = DirectMappedCache(NUM_SETS * LINE, LINE)
+    ref = ReferenceCache()
+    for first, length, write in op_list:
+        res = bulk.access(first, first + length, write)
+        hits, misses, upgrades, dirty, clean = short.access_short(
+            first, first + length, write)
+        assert hits == res.hits
+        assert misses == res.miss_lines.tolist()
+        assert upgrades == res.upgrade_lines.tolist()
+        assert dirty == res.evicted_dirty_lines.tolist()
+        assert clean == res.evicted_clean_lines.tolist()
+        assert (hits, len(misses), len(dirty), len(clean),
+                len(upgrades)) == ref.access(first, first + length, write)
+        assert (short.tags == bulk.tags).all()
+        assert (short.states == bulk.states).all()
 
 
 @settings(max_examples=100, deadline=None)

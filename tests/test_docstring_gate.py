@@ -71,13 +71,16 @@ def test_dataclass_post_init_exempt():
 def test_public_surface_resolves_exports():
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     try:
-        exports, sync_files = check_docstrings.public_surface()
+        exports, package_files = check_docstrings.public_surface()
     finally:
         sys.path.pop(0)
-    # Classes, functions, and the sync package must all be gated.
+    # Classes, functions, and the gated packages must all be covered.
     assert "SyncPolicy" in exports
     assert "make_machine" in exports
-    assert any(p.endswith("__init__.py") for p in sync_files)
+    assert any(p.endswith("__init__.py") for p in package_files)
+    for gated in ("sync", "ablate", "mem", "hw"):
+        assert any(os.sep + os.path.join("repro", gated, "") in p
+                   for p in package_files), gated
     src_root = check_docstrings.SRC_ROOT + os.sep
     assert all(path.startswith(src_root)
                for path, _line in exports.values())

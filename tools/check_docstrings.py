@@ -5,8 +5,9 @@ Walks, with nothing but the standard library's ``ast``:
 * every symbol exported through ``repro.__all__`` — resolved to the
   module that defines it, then to its class/function definition, and
 * every module, class, public function and public method of the
-  ``repro.sync`` package (the subsystem this gate shipped with)
-  and the ``repro.ablate`` package.
+  ``repro.sync`` package (the subsystem this gate shipped with), the
+  ``repro.ablate`` package, and the ``repro.mem`` and ``repro.hw``
+  packages (caches, address space, hardware coherence and sync).
 
 A definition *passes* when it (or, for ``__init__``, its class) has a
 docstring.  Names starting with ``_`` are private and exempt, as are
@@ -110,9 +111,10 @@ def public_surface() -> Tuple[Dict[str, Tuple[str, int]], List[str]]:
     """(__all__ symbol -> defining location, gated package files).
 
     Imports ``repro`` to read ``__all__`` and resolve each export to
-    the file and line of its definition; the ``repro.sync`` and
-    ``repro.ablate`` files come from the package paths so *new*
-    undocumented code cannot hide by not being imported.
+    the file and line of its definition; the ``repro.sync``,
+    ``repro.ablate``, ``repro.mem`` and ``repro.hw`` files come from
+    the package paths so *new* undocumented code cannot hide by not
+    being imported.
     """
     import importlib
     import inspect
@@ -136,7 +138,7 @@ def public_surface() -> Tuple[Dict[str, Tuple[str, int]], List[str]]:
         locations[symbol] = (path, line)
 
     package_files: List[str] = []
-    for package in ("sync", "ablate"):
+    for package in ("sync", "ablate", "mem", "hw"):
         root = os.path.join(SRC_ROOT, "repro", package)
         package_files.extend(iter_py_files(root))
     return locations, package_files
@@ -145,18 +147,18 @@ def public_surface() -> Tuple[Dict[str, Tuple[str, int]], List[str]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="docstring-coverage gate for repro.__all__, "
-                    "repro.sync, and repro.ablate")
+                    "repro.sync, repro.ablate, repro.mem and repro.hw")
     parser.add_argument("--verbose", action="store_true",
                         help="list every definition checked")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, SRC_ROOT)
-    exports, sync_files = public_surface()
+    exports, package_files = public_surface()
 
     # Files under the gate: every file defining an __all__ export,
-    # plus the whole repro.sync and repro.ablate packages.
+    # plus the whole gated packages.
     files = sorted({path for path, _line in exports.values()}
-                   | set(sync_files))
+                   | set(package_files))
 
     checked: List[Definition] = []
     for path in files:
