@@ -4,7 +4,9 @@
 or a figure) per test through the experiment registry, times it with
 pytest-benchmark, prints the regenerated rows/series, and archives
 them under ``benchmarks/results/<exp_id>.txt`` so the output survives
-pytest's capture (:func:`bench_experiment`).
+pytest's capture (:func:`bench_experiment`, through
+``repro.harness.experiments_md.write_archive``, which EXPERIMENTS.md
+is then generated from).
 
 Host-time reports (``bench_observers.py``, ``e2e/run.py --record``)
 carry :func:`bench_meta` — host, code revision, package/cache
@@ -19,7 +21,8 @@ import os
 from typing import Any, Dict
 
 import repro
-from repro.harness.experiments import REGISTRY, Report, Scale, run_experiment
+from repro.harness.experiments import Report, Scale, run_experiment
+from repro.harness.experiments_md import write_archive
 from repro.ledger import git_revision, host_meta
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -45,7 +48,7 @@ def bench_meta() -> Dict[str, Any]:
 
 def bench_experiment(benchmark, exp_id: str,
                      scale: Scale = Scale.BENCH) -> Report:
-    """Run one registry experiment under pytest-benchmark."""
+    """Run one registry experiment under pytest-benchmark and archive it."""
     holder = {}
 
     def run() -> None:
@@ -53,13 +56,6 @@ def bench_experiment(benchmark, exp_id: str,
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     report = holder["report"]
-    text = report.text()
-    note = REGISTRY[exp_id].shape_note
-    body = f"{text}\n[expected shape: {note}]\n"
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{exp_id}.txt")
-    with open(path, "w") as fh:
-        fh.write(body)
     print()
-    print(body)
+    print(write_archive(RESULTS_DIR, exp_id, report))
     return report

@@ -51,6 +51,7 @@ from repro.trace import write_chrome_trace, write_metrics_jsonl
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-harness`` argument parser, one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="repro-harness",
         description="Regenerate the tables and figures of Cox et al., "
@@ -238,6 +239,7 @@ def _report_cache(cache: Optional[ResultCache],
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
+    """``list``: every experiment with its paper reference and shape."""
     for exp in list_experiments():
         print(f"{exp.exp_id:6s} {exp.paper_ref:14s} {exp.title}")
         print(f"       shape: {exp.shape_note}")
@@ -332,6 +334,7 @@ def _sweep_overrides(args: argparse.Namespace, ids: List[str]):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """``run`` (and ``ablate``): run experiments and print their reports."""
     scale = Scale(args.scale)
     ids = _resolve_ids(args.ids)
     if ids is None:
@@ -377,6 +380,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    """``trace``: run experiments traced; write a Chrome trace."""
     scale = Scale(args.scale)
     ids = _resolve_ids(args.ids)
     if ids is None:
@@ -420,6 +424,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    """``validate``: evaluate every shape check; 1 if any fails."""
     from repro.harness.validate import format_results, run_validation
     scale = Scale(args.scale)
     cache = _make_cache(args)
@@ -434,6 +439,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    """``report``: regenerate the goldens and diff them for drift."""
     import json as _json
 
     from repro.harness.report import DEFAULT_FIGURES, run_report
@@ -470,6 +476,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    """``check``: run the checked conformance battery."""
     from repro.check.conformance import run_conformance
     report = run_conformance(Scale(args.scale), jobs=args.jobs,
                              log=print)
@@ -479,6 +486,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    """``fuzz``: run a differential fuzz campaign."""
     from repro.check.fuzz import SEEDS_DIRNAME, fuzz_run, load_seeds
     seeds_dir = args.seeds_dir or SEEDS_DIRNAME
     regressions = load_seeds(seeds_dir)
@@ -500,6 +508,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse ``argv`` and run the chosen command; returns its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

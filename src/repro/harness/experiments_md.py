@@ -1,15 +1,17 @@
-"""Generate EXPERIMENTS.md from archived benchmark results.
+"""Generate EXPERIMENTS.md from the registry and the archived results.
 
 Reads ``benchmarks/results/<exp_id>.txt`` (written by the benchmark
-suite) and pairs each regenerated artifact with the paper's claim,
-producing the paper-vs-measured record the reproduction promises.
-The file opens with a mapping table (paper artifact -> experiment id
--> machines -> workloads -> validate checks) assembled from the
-experiment registry and :data:`repro.harness.validate.CHECKS`.
+suite through :func:`write_archive`) and pairs each regenerated
+artifact with what its registry entry says: the paper's claim, the
+expected shape and any known deviation, called out inline.  The file
+opens with a mapping table (paper artifact -> experiment id ->
+machines -> workloads -> runs -> validate checks): the machines,
+workloads and unique-run count are read off each experiment's
+bench-scale plan, the checks off :data:`repro.harness.validate.CHECKS`.
 
-EXPERIMENTS.md is generated — edit this module (claims, the mapping,
-the deviations list), re-run the benchmark suite if results changed,
-then regenerate with::
+EXPERIMENTS.md is generated — edit the registry
+(:mod:`repro.harness.experiments`), re-run the benchmark suite if
+results changed, then regenerate with::
 
     PYTHONPATH=src python -m repro.harness.experiments_md [results_dir] [output_md]
 
@@ -22,230 +24,113 @@ import os
 import sys
 from typing import Dict, Tuple
 
-from repro.harness.experiments import list_experiments
+from repro.harness.experiments import (Experiment, Report, Scale,
+                                       get_experiment, list_experiments)
 from repro.harness.validate import CHECKS
 
-#: What the paper reports for each artifact.  Absolute numbers are
-#: OCR-elided in our source text, so claims are stated as the shape
-#: relations the prose establishes.
-PAPER_CLAIMS: Dict[str, str] = {
-    "t1": "TreadMarks has almost no effect on single-processor times; "
-          "the 4D/480 is somewhat slower than the DECstation when the "
-          "working set exceeds its secondary cache (only SOR differs "
-          "sizably).",
-    "t2": "Synchronization rates order the applications: Water has "
-          "thousands of remote lock acquires/second, M-Water an order "
-          "of magnitude fewer; TSP-18 syncs more than TSP-19; "
-          "ILINK-BAD has several times CLP's barrier and message "
-          "rates.",
-    "fig1": "ILINK-CLP: both machines speed up sublinearly (inherent "
-            "load imbalance); the SGI leads by the smallest margin of "
-            "the ILINK inputs.",
-    "fig2": "ILINK-BAD: worst ILINK input; the SGI-TreadMarks gap is "
-            "the largest, tracking the higher barrier rate.",
-    "fig3": "SOR 2000x1000: better speedup on TreadMarks than on the "
-            "SGI — the SGI is memory-bandwidth bound on its shared "
-            "bus, each DECstation has a private path to memory, and "
-            "diffs ship only changed words.",
-    "fig4": "SOR 1000x1000 (fits the SGI L2 at 8 processors): "
-            "TreadMarks still achieves the better speedup.",
-    "fig5": "TSP 19 cities: speedup favours the SGI (about 6.3 vs "
-            "4-ish); its eager coherence propagates the bound sooner, "
-            "so processors do less redundant work.",
-    "fig6": "TSP 18 cities: same ordering, slightly larger gap (more "
-            "synchronization per unit of computation).",
-    "fig7": "Water: TreadMarks gets essentially no speedup (per-update "
-            "locks generate an overwhelming message rate); the SGI "
-            "scales normally.",
-    "fig8": "M-Water: batching updates restores TreadMarks to real "
-            "speedup; the SGI is virtually unchanged versus Water.",
-    "fig9": "Simulated SOR: linear-ish speedup on AH and HS; AS is "
-            "sub-linear due to communication cost.",
-    "fig10": "Simulated TSP: AH and HS comparable; AS falls behind as "
-             "the computation-to-communication ratio drops.",
-    "fig11": "Simulated M-Water: only AH keeps improving; AS peaks at "
-             "a small processor count, HS peaks later but stays well "
-             "below AH (synchronization messages and lock waits).",
-    "fig12": "At the largest machine, HS sends a small fraction of "
-             "AS's messages (about 1/9 for SOR; less than 1/4 for "
-             "TSP; ~1/4 for M-Water).",
-    "fig13": "HS moves roughly 1/4 (TSP) to 1/8 of AS's data; "
-             "per-node diff coalescing drives the reduction.",
-    "fig14": "SOR on AS: reducing the fixed per-message cost has the "
-             "largest effect; speedup approaches the other "
-             "architectures.",
-    "fig15": "M-Water on AS: fixed and per-word costs matter about "
-             "equally.",
-    "fig16": "M-Water on HS: the fixed cost matters more than for AS "
-             "(HS already cut data volume more than message count).",
-    "x1": "Replacing the bound lock's lazy release with an eager "
-          "release improves TSP's 8-processor speedup most of the way "
-          "to the SGI's.",
-    "x2": "Kernel-level TreadMarks halves lock/barrier times; ILINK, "
-          "SOR and TSP barely change, M-Water improves sharply.",
-    "x3": "Initializing SOR so every point changes equalizes data "
-          "movement; TreadMarks still achieves the better speedup.",
-    "x4": "Minimum remote lock acquisition takes a fraction of a "
-          "millisecond and an 8-processor barrier about two; moving "
-          "TreadMarks into the kernel roughly halves both (§2.2, "
-          "§2.4.4).",
-    "a1": "(Repo ablation — no paper counterpart.) Diffs vs "
-          "whole-page transfer on the fault path.",
-    "a2": "(Repo ablation.) Lazy vs eager release across programs: "
-          "eager trades extra messages for freshness.",
-    "a3": "(Repo ablation.) HS node-size sweep: bigger nodes cut "
-          "messages with diminishing returns.",
-    "fault-sweep": "(Repo robustness experiment — no paper "
-                   "counterpart.)  The paper's TreadMarks runs over "
-                   "UDP and supplies its own reliability (§2.2); this "
-                   "sweep injects deterministic message loss under the "
-                   "reliable-delivery layer and measures the speedup "
-                   "decay: monotone per program, steepest for the "
-                   "message-rate-bound programs.",
-    "failure-sweep": "(Repo robustness experiment — no paper "
-                     "counterpart.)  The paper's machines assume "
-                     "fail-free nodes; this sweep crash-stops a node "
-                     "mid-run under the software machines and "
-                     "measures degraded completion: every cell still "
-                     "finishes and verifies, detection latency is "
-                     "bounded by the keepalive backstop, and the "
-                     "recovery counters (pages re-homed/lost, lock "
-                     "tokens regenerated, barrier reconfigurations) "
-                     "account for the repair.  A barrier-structured "
-                     "program loses most of its speedup (every "
-                     "survivor stalls for the detection window) but "
-                     "every degraded cell still beats one processor.",
-    "sync-sweep": "(Repo design-space experiment — extends §3's "
-                  "comparison.)  The paper attributes the software "
-                  "machines' synchronization gap to message handling "
-                  "on the critical path (§3.3.4); this sweep makes "
-                  "the synchronization algorithm a free variable "
-                  "(token/mcs/ticket/combining locks x central/tree/"
-                  "combining barriers) and measures how far the best "
-                  "policy moves AS and HS toward AH's default.  "
-                  "Expected: distributing the barrier (tree, or "
-                  "combining in the switch) lifts the barrier-bound "
-                  "programs on AS; lock choice barely matters on a "
-                  "DSM, where lock transfer cost is dominated by the "
-                  "consistency data it drags along; AH moves less "
-                  "than the best software gain — hardware "
-                  "synchronization was never the bottleneck.",
-    "ablation-sweep": "(Repo design-space experiment — extends §2.4's "
-                      "protocol description.)  The paper stacks seven "
-                      "separable DSM mechanisms (twins, RLE diffs, "
-                      "lazy diff fetch, lazy release, write-notice "
-                      "piggybacking, diff merging, exponential "
-                      "retransmission backoff) but never isolates "
-                      "their contributions; this sweep switches each "
-                      "one off (leave-one-out) on AS and HS and ranks "
-                      "them by importance — the mean relative change "
-                      "over seconds, messages, bytes, and diff bytes, "
-                      "peaked across (machine, workload) cells.  "
-                      "Expected: diffs dominate (whole-page transfer "
-                      "multiplies M-Water's bytes), lazy fetch next "
-                      "(eager fetch floods pages the node never "
-                      "reads), every mechanism nonzero somewhere; "
-                      "backoff registers only under injected loss, so "
-                      "its cell pairs a lossy ablated run with a "
-                      "lossy full-protocol baseline.",
-}
+
+def write_archive(results_dir: str, exp_id: str, report: Report) -> str:
+    """Archive one bench-scale report as ``<results_dir>/<exp_id>.txt``.
+
+    The archive is the report text plus the registry's expected shape;
+    :func:`build` reads it back.  Returns the archived text.
+    """
+    note = get_experiment(exp_id).shape_note
+    body = f"{report.text()}\n[expected shape: {note}]\n"
+    os.makedirs(results_dir, exist_ok=True)
+    with open(os.path.join(results_dir, f"{exp_id}.txt"), "w") as fh:
+        fh.write(body)
+    return body
 
 
-#: (machines, workloads) per experiment — the run grid each artifact
-#: declares, kept in sync with :mod:`repro.harness.experiments`.
-RUN_GRIDS: Dict[str, Tuple[str, str]] = {
-    "t1": ("TreadMarks, SGI (1 proc)", "all eight workloads"),
-    "t2": ("TreadMarks (8 procs)", "all eight workloads"),
-    "fig1": ("TreadMarks vs SGI", "ilink_clp"),
-    "fig2": ("TreadMarks vs SGI", "ilink_bad"),
-    "fig3": ("TreadMarks vs SGI", "sor_large"),
-    "fig4": ("TreadMarks vs SGI", "sor_small"),
-    "fig5": ("TreadMarks vs SGI", "tsp19"),
-    "fig6": ("TreadMarks vs SGI", "tsp18"),
-    "fig7": ("TreadMarks vs SGI", "water"),
-    "fig8": ("TreadMarks vs SGI", "mwater"),
-    "fig9": ("AH, HS, AS", "sor_sim"),
-    "fig10": ("AH, HS, AS", "tsp19"),
-    "fig11": ("AH, HS, AS", "mwater"),
-    "fig12": ("AS vs HS (largest machine)", "sor_sim, tsp19, mwater"),
-    "fig13": ("AS vs HS (largest machine)", "sor_sim, tsp19, mwater"),
-    "fig14": ("AS x overhead presets", "sor_sim"),
-    "fig15": ("AS x overhead presets", "mwater"),
-    "fig16": ("HS x overhead presets", "mwater"),
-    "x1": ("TreadMarks (lazy, eager bound lock), SGI", "tsp19"),
-    "x2": ("TreadMarks (user, kernel), SGI",
-           "sor_small, ilink_clp, tsp19, mwater"),
-    "x3": ("TreadMarks vs SGI", "sor_large, sor_alldirty"),
-    "x4": ("TreadMarks (user, kernel)", "sync micro-benchmarks"),
-    "a1": ("TreadMarks (diffs on/off)", "sor_small, mwater"),
-    "a2": ("TreadMarks (lazy, eager)", "tsp19, mwater, sor_small"),
-    "a3": ("HS (1-16 procs/node)", "sor_small, mwater"),
-    "fault-sweep": ("TreadMarks x loss rates (0-5%)",
-                    "sor_small, tsp19, mwater"),
-    "failure-sweep": ("AS, HS x crash fractions (25%, 50%)",
-                      "sor_sim, tsp19"),
-    "sync-sweep": ("AS, AH, HS x 4 locks x 3 barriers",
-                   "tsp18, mwater"),
-    "ablation-sweep": ("AS, HS x 7 mechanisms (leave-one-out)",
-                       "sor_sim, tsp19, mwater"),
-}
+def _plan_columns(exp: Experiment) -> Tuple[str, str, int]:
+    """(machines, workloads, unique runs) of the bench-scale plan."""
+    specs = exp.plan(Scale.BENCH).specs
+    machines = dict.fromkeys(spec.machine.base_name for spec in specs)
+    workloads = dict.fromkeys(spec.app.name for spec in specs)
+    return (", ".join(machines), ", ".join(workloads),
+            len({spec.key() for spec in specs}))
 
 
-def _mapping_table() -> list:
-    """Paper artifact -> experiment -> grid -> shape-check mapping."""
-    lines = [
-        "## Figure-to-experiment map",
-        "",
-        "Run any row with `repro-harness run <exp id>`; the checks "
-        "column names",
-        "the PASS/FAIL claims `repro-harness validate` evaluates for "
-        "that",
-        "experiment (defined in `repro.harness.validate`).",
-        "",
-        "| paper artifact | exp id | machines | workloads | claimed "
-        "shape | validate checks |",
-        "|---|---|---|---|---|---|",
-    ]
+#: The fixed opening of EXPERIMENTS.md, down to the map's column header.
+_HEADER = """\
+# EXPERIMENTS — paper vs. measured
+
+Regenerated by `pytest benchmarks/ --benchmark-only` (bench scale; see
+`repro.harness.workloads` for exact problem sizes).  Absolute numbers are
+not comparable to the paper's testbed — every machine constant is a
+calibrated stand-in (DESIGN.md) — so each entry records the paper's *claim*
+and the measured *shape*.  Known deviations are called out inline.
+
+This file is generated — edit the registry in
+`src/repro/harness/experiments.py` and regenerate with
+`PYTHONPATH=src python -m repro.harness.experiments_md`.
+
+## Figure-to-experiment map
+
+Run any row with `repro-harness run <exp id>`; the checks column names
+the PASS/FAIL claims `repro-harness validate` evaluates for that
+experiment (defined in `repro.harness.validate`).
+
+| paper artifact | exp id | machines | workloads | runs | claimed shape \
+| validate checks |
+|---|---|---|---|---|---|---|
+"""
+
+#: The fixed closing section of EXPERIMENTS.md.
+_CORRECTNESS = """\
+## Correctness checking (repro.check)
+
+Every number above assumes the five machine models implement their
+memory models correctly.  `repro.check` makes that assumption testable
+without perturbing any of the results: the checkers only observe, so an
+armed run finishes in exactly the same simulated cycle as an unarmed one
+(asserted by `benchmarks/bench_observers.py`, which writes
+`benchmarks/results/observers.json`).
+
+* `repro-harness check [--scale test]` — runs the fixed fuzz seeds plus
+  the SOR/TSP/Water battery on all five machines with the online
+  invariant checkers armed (SWMR for the hardware models; interval
+  monotonicity, diff-covers-twin and no-write-to-invalid-page for the
+  LRC models) and the post-run LRC history verifier.  A violation
+  raises `ConsistencyViolation` naming the offending protocol event,
+  its simulated time, and a replayable slice of the preceding trace.
+* `repro-harness fuzz --seed 0 --iters 50` — differential fuzzing:
+  seeded random data-race-free programs run on all five machines, final
+  memory images and checker verdicts diffed.  Failures shrink to a
+  minimal program (`--no-shrink` to skip) and persist under
+  `tests/fuzz_seeds/`, which the test suite replays forever after.
+* `REPRO_CHECK=1 python -m pytest` — the whole tier-1 suite with online
+  checkers armed (`REPRO_CHECK=history` adds history recording); one CI
+  leg runs this way.
+
+"""
+
+
+def _map_rows() -> list:
+    """One map row per experiment: artifact, id, plan columns, checks."""
     checks_by_exp: Dict[str, list] = {}
     for check in CHECKS:
         checks_by_exp.setdefault(check.exp_id, []).append(check.name)
+    rows = []
     for exp in list_experiments():
-        machines, workloads = RUN_GRIDS.get(exp.exp_id, ("—", "—"))
+        machines, workloads, runs = _plan_columns(exp)
         checks = ", ".join(
             f"`{name}`" for name in checks_by_exp.get(exp.exp_id, []))
-        lines.append(
+        rows.append(
             f"| {exp.paper_ref} | `{exp.exp_id}` | {machines} "
-            f"| {workloads} | {exp.shape_note} | {checks or '—'} |")
-    lines.append("")
-    return lines
+            f"| {workloads} | {runs} | {exp.shape_note} "
+            f"| {checks or '—'} |")
+    return rows
 
 
 def build(results_dir: str) -> str:
-    lines = [
-        "# EXPERIMENTS — paper vs. measured",
-        "",
-        "Regenerated by `pytest benchmarks/ --benchmark-only` (bench "
-        "scale; see",
-        "`repro.harness.workloads` for exact problem sizes).  Absolute "
-        "numbers are",
-        "not comparable to the paper's testbed — every machine "
-        "constant is a",
-        "calibrated stand-in (DESIGN.md) — so each entry records the "
-        "paper's *claim*",
-        "and the measured *shape*.  Known deviations are called out "
-        "inline.",
-        "",
-        "This file is generated — edit "
-        "`src/repro/harness/experiments_md.py` and",
-        "regenerate with `PYTHONPATH=src python -m "
-        "repro.harness.experiments_md`.",
-        "",
-    ]
-    lines.extend(_mapping_table())
+    """The text of EXPERIMENTS.md over the archives in ``results_dir``."""
+    lines = _map_rows() + [""]
     for exp in list_experiments():
         lines.append(f"## {exp.exp_id} — {exp.title} ({exp.paper_ref})")
         lines.append("")
-        lines.append(f"**Paper:** {PAPER_CLAIMS.get(exp.exp_id, '—')}")
+        lines.append(f"**Paper:** {exp.paper_claim}")
         lines.append("")
         path = os.path.join(results_dir, f"{exp.exp_id}.txt")
         if os.path.exists(path):
@@ -260,144 +145,14 @@ def build(results_dir: str) -> str:
             lines.append("*(no archived result — run the benchmark "
                          "suite first)*")
         lines.append("")
-    lines.extend(_correctness())
-    lines.extend(_deviations())
-    return "\n".join(lines) + "\n"
-
-
-def _correctness() -> list:
-    return [
-        "## Correctness checking (repro.check)",
-        "",
-        "Every number above assumes the five machine models implement "
-        "their",
-        "memory models correctly.  `repro.check` makes that assumption "
-        "testable",
-        "without perturbing any of the results: the checkers only "
-        "observe, so an",
-        "armed run finishes in exactly the same simulated cycle as an "
-        "unarmed one",
-        "(asserted by `benchmarks/bench_observers.py`, which writes",
-        "`benchmarks/results/observers.json`).",
-        "",
-        "* `repro-harness check [--scale test]` — runs the fixed fuzz "
-        "seeds plus",
-        "  the SOR/TSP/Water battery on all five machines with the "
-        "online",
-        "  invariant checkers armed (SWMR for the hardware models; "
-        "interval",
-        "  monotonicity, diff-covers-twin and no-write-to-invalid-page "
-        "for the",
-        "  LRC models) and the post-run LRC history verifier.  A "
-        "violation",
-        "  raises `ConsistencyViolation` naming the offending protocol "
-        "event,",
-        "  its simulated time, and a replayable slice of the "
-        "preceding trace.",
-        "* `repro-harness fuzz --seed 0 --iters 50` — differential "
-        "fuzzing:",
-        "  seeded random data-race-free programs run on all five "
-        "machines, final",
-        "  memory images and checker verdicts diffed.  Failures "
-        "shrink to a",
-        "  minimal program (`--no-shrink` to skip) and persist under",
-        "  `tests/fuzz_seeds/`, which the test suite replays forever "
-        "after.",
-        "* `REPRO_CHECK=1 python -m pytest` — the whole tier-1 suite "
-        "with online",
-        "  checkers armed (`REPRO_CHECK=history` adds history "
-        "recording); one CI",
-        "  leg runs this way.",
-        "",
-    ]
-
-
-def _deviations() -> list:
-    return [
-        "## Known deviations",
-        "",
-        "* **TSP at large simulated machines (fig10).**  Our scaled "
-        "instances (12",
-        "  cities standing in for 19) leave too little work per "
-        "processor at 64",
-        "  CPUs, so the HS/AS curves are noisier and flatter than the "
-        "paper's; the",
-        "  ordering AH ≥ HS ≥ AS still holds.  Branch-and-bound is "
-        "also inherently",
-        "  instance-sensitive — seed 11 of our generator reproduces "
-        "the paper's",
-        "  occasional super-linear hardware speedup.",
-        "* **SOR 1000x1000 on the SGI (fig4).**  With per-processor "
-        "bands exactly",
-        "  fitting the 1 MB L2, our SGI model shows mild super-linear "
-        "speedup",
-        "  (thrashing baseline), so TreadMarks and the SGI finish "
-        "closer than the",
-        "  paper's figure; the large-SOR case (fig3) shows the "
-        "paper's full effect.",
-        "* **HS peak for M-Water (fig11).**  The paper has HS peak "
-        "mid-range (their",
-        "  elided processor count); our HS peaks at the single-node "
-        "boundary and",
-        "  declines beyond it, but stays strictly between AS and AH "
-        "as the paper",
-        "  describes.",
-        "* **Table 1 DEC vs DEC+TreadMarks.**  Identical by "
-        "construction: at one",
-        "  node the protocol engages no remote machinery, which is "
-        "the paper's",
-        "  observation (measured difference within noise).",
-        "* **fig12, TSP row.**  HS's *synchronization* messages do "
-        "not shrink as",
-        "  much as the paper's (our scaled instance makes the queue "
-        "token migrate",
-        "  between nodes almost every pop); miss messages drop ~10x "
-        "as expected.",
-        "* **fig15 (M-Water overhead sweep on AS).**  The paper "
-        "reports fixed and",
-        "  per-word costs mattering about equally; in our calibration "
-        "the fixed",
-        "  cost dominates for M-Water too, because our messages are "
-        "smaller on",
-        "  average than the paper's (run-compressed notices, scaled "
-        "molecule",
-        "  count).  The direction of every individual knob matches.",
-        "* **fault-sweep at bench scale, TSP and M-Water rows.**  At "
-        "the lowest",
-        "  loss rates the speedup can tick *up* by 1-2% before the "
-        "decay takes",
-        "  over: TSP's branch-and-bound prunes differently when loss "
-        "perturbs",
-        "  bound-propagation timing, and M-Water's lock-token "
-        "migration order",
-        "  shifts.  The monotone decay the experiment claims is exact "
-        "at test",
-        "  scale and holds at bench scale once recovery cost "
-        "dominates (the",
-        "  largest rate is always the slowest).  SOR, with no "
-        "data-dependent",
-        "  control flow, decays strictly at every scale.",
-        "* **sync-sweep, AH flatness (restated claim).**  The bar was",
-        "  \"AH's best/worst policy spread is at most x1.05\".  That holds",
-        "  at 16 processors (x1.019, test scale) but not at 64 (x1.132,",
-        "  bench scale), where the ticket lock's release notification",
-        "  costs AH M-Water about 10%.  `validate` gates the claim that is",
-        "  true at both: AH's spread stays below the best software-machine",
-        "  gain (x1.132 < x1.175 at bench scale, x1.019 < x1.052 at test).",
-        "* **failure-sweep, degraded overhead (restated claim).**  The bar",
-        "  was \"a degraded run retains at least 0.10 of its clean",
-        "  speedup\".  That holds at 16 processors (worst 0.257,",
-        "  `as/sor_sim`) but not at 64 (worst 0.073, `hs/sor_sim`): SOR's",
-        "  survivors all stall at the next barrier for the whole detection",
-        "  window, which is long next to a clean 64-processor run.",
-        "  `validate` gates the claim that is true at both: every degraded",
-        "  cell still beats one processor (minimum speedup 2.30 at bench",
-        "  scale, 1.26 at test scale).",
-        "",
-    ]
+        if exp.deviation:
+            lines.append(f"**Known deviation:** {exp.deviation}")
+            lines.append("")
+    return _HEADER + "\n".join(lines) + "\n" + _CORRECTNESS
 
 
 def main(argv=None) -> int:
+    """Write EXPERIMENTS.md: ``[results_dir] [output_md]``."""
     argv = argv if argv is not None else sys.argv[1:]
     results_dir = argv[0] if argv else os.path.join("benchmarks",
                                                     "results")

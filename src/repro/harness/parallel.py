@@ -87,7 +87,8 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Hashable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.apps.base import Application
 from repro.errors import WorkerCrashError
@@ -95,7 +96,7 @@ from repro.harness.cache import ResultCache, run_key
 from repro.ledger import (Ledger, active_ledger, ledger_session,
                           run_record, run_scope)
 from repro.machines.base import Machine
-from repro.stats.result import RunResult
+from repro.stats.result import RunResult, SpeedupSeries
 from repro.trace import session as trace_session
 
 #: Environment variables whose ambient values are re-shipped to the
@@ -123,9 +124,16 @@ class RunSpec:
 
 @dataclass
 class RunPlan:
-    """An ordered grid of runs; indices are stable result handles."""
+    """An ordered grid of runs; indices are stable result handles.
+
+    ``layout`` is where the plan's builder files those handles under
+    its own keys, so whoever reads the results back needs nothing but
+    the plan: a registry experiment's ``assemble`` and
+    :func:`~repro.harness.runner.run_curves` both read it.
+    """
 
     specs: List[RunSpec] = field(default_factory=list)
+    layout: Dict[Hashable, Any] = field(default_factory=dict)
 
     def add(self, machine: Machine, app: Application, nprocs: int, *,
             seed: int = 42,
@@ -141,6 +149,25 @@ class RunPlan:
         """Append one run per processor count; returns their indices."""
         return [self.add(machine, app, p, seed=seed, params=params)
                 for p in procs]
+
+    def curve(self, key: Hashable, machine: Machine, app: Application,
+              procs: Sequence[int]) -> None:
+        """File a speedup curve under ``key``: the 1-processor base run,
+        then one run per count in ``procs`` (the baseline methodology of
+        :func:`~repro.harness.runner.run_curves`)."""
+        self.layout[key] = ([self.add(machine, app, 1)] +
+                            self.add_series(machine, app, procs))
+
+    def series(self, results: Sequence[RunResult]
+               ) -> Dict[Hashable, SpeedupSeries]:
+        """``{key: series}`` for a plan whose layout holds only curves."""
+        out: Dict[Hashable, SpeedupSeries] = {}
+        for key, (base_index, *point_indices) in self.layout.items():
+            base = results[base_index]
+            out[key] = SpeedupSeries(
+                base.machine, base.app, base.seconds,
+                [results[index] for index in point_indices])
+        return out
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -174,7 +201,7 @@ def run_context(*, jobs: int = 1,
     """Scope within which plans default to ``jobs`` workers + ``cache``.
 
     The experiment registry calls :func:`execute_plan` without
-    threading options through every figure function; the CLI installs
+    threading options through every experiment; the CLI installs
     one context around a whole command instead.  ``ledger`` opens a
     :func:`~repro.ledger.ledger_session` for the scope: every plan
     inside appends one provenance record per unique run.

@@ -22,9 +22,7 @@ wall-clock time is measured by ``benchmarks/e2e``.  Neither is this
 module's business.
 
 ``--write`` regenerates the committed goldens in place (the sanctioned
-way to bless an intended behaviour change); at bench scale it also
-rewrites ``benchmarks/results/<fig>.txt`` and regenerates
-EXPERIMENTS.md, so figure text, goldens, and ledger stay one story.
+way to bless an intended behaviour change).
 """
 
 from __future__ import annotations
@@ -119,10 +117,12 @@ class Drift:
     actual: Any              # regenerated value (None = missing)
 
     def as_dict(self) -> Dict[str, Any]:
+        """The drift as a JSON-able dict."""
         return {"artifact": self.artifact, "key": self.key,
                 "expected": self.expected, "actual": self.actual}
 
     def line(self) -> str:
+        """The drift as one human-readable log line."""
         return (f"[drift] {self.artifact} :: {self.key}: "
                 f"committed {self.expected!r} != regenerated "
                 f"{self.actual!r}")
@@ -166,6 +166,7 @@ class ReportOutcome:
 
     @property
     def ok(self) -> bool:
+        """True when nothing drifted."""
         return not self.drifts
 
     def drift_document(self) -> Dict[str, Any]:
@@ -263,25 +264,6 @@ def run_report(*, figures: Sequence[str] = DEFAULT_FIGURES,
         committed = (scale_block or {}).get(exp_id)
         _check_artifact(outcome, artifact, committed,
                         current_figures[exp_id], log)
-
-    # -- bench-scale write mode: figure text + EXPERIMENTS.md -----------
-    if write and scale is Scale.BENCH:
-        results_dir = os.path.join(root, "benchmarks", "results")
-        os.makedirs(results_dir, exist_ok=True)
-        for exp_id in figures:
-            report = run_experiment(exp_id, scale)   # cache-served
-            note = REGISTRY[exp_id].shape_note
-            path = os.path.join(results_dir, f"{exp_id}.txt")
-            with open(path, "w") as fh:
-                fh.write(f"{report.text()}\n[expected shape: {note}]\n")
-            outcome.written.append(path)
-        from repro.harness import experiments_md
-        md_path = os.path.join(root, "EXPERIMENTS.md")
-        with open(md_path, "w") as fh:
-            fh.write(experiments_md.build(results_dir))
-        outcome.written.append(md_path)
-        log(f"[report] rewrote {len(figures)} figure archives and "
-            f"EXPERIMENTS.md")
 
     status = ("CLEAN" if outcome.ok
               else f"DRIFT ({len(outcome.drifts)} value(s))")

@@ -1,11 +1,12 @@
-"""Speedup curves: the one assembler from plan results to series.
+"""Speedup curves in one plan: :func:`run_curves`.
 
-:func:`run_curves` declares any number of curves in one
-:class:`~repro.harness.parallel.RunPlan` and executes it once, so
-every run goes through the plan layer: pooled, deduplicated, cached,
-and ledger-recorded under an active
-:func:`~repro.ledger.ledger_session`.  The experiments, the golden
-speedup pins and the tests all take their series from here.
+:func:`run_curves` files any number of curves in one
+:class:`~repro.harness.parallel.RunPlan` (``RunPlan.curve``) and
+executes it once, so every run goes through the plan layer: pooled,
+deduplicated, cached, and ledger-recorded under an active
+:func:`~repro.ledger.ledger_session`.  The registry experiments file
+their curves in their own plans the same way; the golden speedup pins
+and the tests take their series from here.
 """
 
 from __future__ import annotations
@@ -38,18 +39,9 @@ def run_curves(curves: Mapping[Hashable, Curve]
     (they fingerprint identically at ``nprocs == 1``).
     """
     plan = RunPlan()
-    indices = {key: [plan.add(machine, app, 1)] +
-               plan.add_series(machine, app, procs)
-               for key, (machine, app, procs) in curves.items()}
-    results = execute_plan(plan)
-    out: Dict[Hashable, SpeedupSeries] = {}
-    for key, (base_index, *point_indices) in indices.items():
-        base = results[base_index]
-        series = SpeedupSeries(base.machine, base.app, base.seconds)
-        for index in point_indices:
-            series.add(results[index])
-        out[key] = series
-    return out
+    for key, (machine, app, procs) in curves.items():
+        plan.curve(key, machine, app, procs)
+    return plan.series(execute_plan(plan))
 
 
 def speedup_series(machine: Machine, app: Application,

@@ -4,7 +4,7 @@
 claims the paper makes about them — "TreadMarks beats the SGI on large
 SOR", "HS sends a small fraction of AS's messages", and so on — and
 prints PASS/FAIL per claim.  This turns the reproduction's definition
-of success (DESIGN.md's *shape targets*) into something a CI job can
+of success (each registry entry's shape note) into something a CI job can
 assert, and it is the one place a claim about simulated numbers is
 stated: the repo's own sync / recovery / ablation sweeps are gated
 here too, beside the paper's claims.
@@ -12,8 +12,8 @@ here too, beside the paper's claims.
 Each check declares which experiment it consumes; experiments are run
 once and shared between checks.  Every check is calibrated at bench
 scale — the scale the CI gate runs — and a claim that does not hold
-there is restated (EXPERIMENTS.md, *Known deviations*), not given a
-per-scale threshold.
+there is restated in its experiment's ``deviation`` note (printed inline
+in EXPERIMENTS.md), not given a per-scale threshold.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ class ShapeCheck:
     predicate: Callable[[Report], bool]
 
     def evaluate(self, report: Report) -> bool:
+        """Whether the claim holds on ``report``."""
         return bool(self.predicate(report))
 
 

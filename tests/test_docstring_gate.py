@@ -78,7 +78,7 @@ def test_public_surface_resolves_exports():
     assert "SyncPolicy" in exports
     assert "make_machine" in exports
     assert any(p.endswith("__init__.py") for p in package_files)
-    for gated in ("sync", "ablate", "mem", "hw"):
+    for gated in ("sync", "ablate", "mem", "hw", "harness"):
         assert any(os.sep + os.path.join("repro", gated, "") in p
                    for p in package_files), gated
     src_root = check_docstrings.SRC_ROOT + os.sep

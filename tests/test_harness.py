@@ -11,8 +11,8 @@ import repro
 from repro.errors import ConfigurationError
 from repro.harness import fmt
 from repro.harness.cli import _SWEEP_FLAGS, build_parser, main
-from repro.harness.experiments import (REGISTRY, SWEEP_OPTIONS, Experiment,
-                                       Scale, current_options,
+from repro.harness.experiments import (REGISTRY, SWEEP_OPTIONS, Scale,
+                                       current_options,
                                        get_experiment,
                                        list_experiments, run_experiment,
                                        sweep_options)
@@ -34,7 +34,40 @@ def test_every_experiment_has_metadata():
         assert exp.title
         assert exp.paper_ref
         assert exp.shape_note
-        assert callable(exp.run)
+        assert callable(exp.plan) and callable(exp.assemble)
+
+
+#: exp_id -> ((specs, unique run keys) at TEST, the same at BENCH).
+PLAN_SIZES = {
+    "t1": ((16, 16), (16, 16)), "t2": ((8, 8), (8, 8)),
+    **{f"fig{i}": ((10, 8), (10, 8)) for i in range(1, 9)},
+    **{f"fig{i}": ((12, 9), (18, 15)) for i in (9, 10, 11)},
+    "fig12": ((6, 6), (6, 6)), "fig13": ((6, 6), (6, 6)),
+    "fig14": ((16, 9), (24, 17)), "fig15": ((16, 9), (24, 17)),
+    "fig16": ((16, 12), (24, 20)),
+    "x1": ((15, 11), (15, 11)), "x2": ((60, 44), (60, 44)),
+    "x3": ((20, 16), (20, 16)), "x4": ((4, 4), (4, 4)),
+    "a1": ((8, 6), (8, 6)), "a2": ((12, 9), (12, 9)),
+    "a3": ((20, 20), (20, 20)),
+    "fault-sweep": ((15, 15), (15, 15)),
+    "failure-sweep": ((8, 8), (8, 8)),
+    "sync-sweep": ((288, 172), (432, 316)),
+    "ablation-sweep": ((54, 54), (54, 54)),
+}
+
+
+@pytest.mark.parametrize("scale", [Scale.TEST, Scale.BENCH])
+def test_plan_sizes_are_pinned(scale):
+    """Each experiment's plan, built without simulating anything, has
+    the pinned number of specs and of unique run keys (what the
+    EXPERIMENTS.md map's run column prints at bench scale)."""
+    column = 0 if scale is Scale.TEST else 1
+    sizes = {}
+    for exp_id, exp in REGISTRY.items():
+        specs = exp.plan(scale).specs
+        sizes[exp_id] = (len(specs), len({spec.key() for spec in specs}))
+    assert sizes == {exp_id: pins[column]
+                     for exp_id, pins in PLAN_SIZES.items()}
 
 
 def test_get_experiment_unknown():
@@ -145,13 +178,15 @@ def test_cli_sweep_flag_table_matches_parser_and_options():
 
 def test_cli_sweep_flags_reach_their_experiment(capsys, monkeypatch):
     seen = {}
+    x3 = get_experiment("x3")
 
     def spy(scale):
         seen["opts"] = current_options("sync-sweep")
-        return run_experiment("x3", scale)
+        return x3.plan(scale)
 
     monkeypatch.setitem(REGISTRY, "sync-sweep",
-                        Experiment("sync-sweep", "t", "r", "s", spy))
+                        dataclasses.replace(x3, exp_id="sync-sweep",
+                                            plan=spy))
     assert main(["run", "sync-sweep", "--scale", "test", "--no-cache",
                  "--no-ledger", "--sync-lock", "mcs", "--sync-lock",
                  "ticket", "--sync-machine", "as"]) == 0
@@ -181,14 +216,16 @@ def test_cli_bad_sweep_value_is_a_usage_error_before_any_session(
 def test_cli_ablate_is_run_ablation_sweep_at_test_scale(capsys,
                                                         monkeypatch):
     seen = {}
+    x3 = get_experiment("x3")
 
     def spy(scale):
         seen["scale"] = scale
         seen["opts"] = current_options("ablation-sweep")
-        return run_experiment("x3", scale)
+        return x3.plan(scale)
 
     monkeypatch.setitem(REGISTRY, "ablation-sweep",
-                        Experiment("ablation-sweep", "t", "r", "s", spy))
+                        dataclasses.replace(x3, exp_id="ablation-sweep",
+                                            plan=spy))
     assert main(["ablate", "--no-cache", "--no-ledger",
                  "--ablate-mechanism", "diffs",
                  "--ablate-machine", "as"]) == 0

@@ -6,8 +6,10 @@ Walks, with nothing but the standard library's ``ast``:
   module that defines it, then to its class/function definition, and
 * every module, class, public function and public method of the
   ``repro.sync`` package (the subsystem this gate shipped with), the
-  ``repro.ablate`` package, and the ``repro.mem`` and ``repro.hw``
-  packages (caches, address space, hardware coherence and sync).
+  ``repro.ablate`` package, the ``repro.mem`` and ``repro.hw``
+  packages (caches, address space, hardware coherence and sync), and
+  the ``repro.harness`` package (experiment registry, plans and
+  execution, CLI, reports).
 
 A definition *passes* when it (or, for ``__init__``, its class) has a
 docstring.  Names starting with ``_`` are private and exempt, as are
@@ -112,9 +114,9 @@ def public_surface() -> Tuple[Dict[str, Tuple[str, int]], List[str]]:
 
     Imports ``repro`` to read ``__all__`` and resolve each export to
     the file and line of its definition; the ``repro.sync``,
-    ``repro.ablate``, ``repro.mem`` and ``repro.hw`` files come from
-    the package paths so *new* undocumented code cannot hide by not
-    being imported.
+    ``repro.ablate``, ``repro.mem``, ``repro.hw`` and ``repro.harness``
+    files come from the package paths so *new* undocumented code
+    cannot hide by not being imported.
     """
     import importlib
     import inspect
@@ -138,7 +140,7 @@ def public_surface() -> Tuple[Dict[str, Tuple[str, int]], List[str]]:
         locations[symbol] = (path, line)
 
     package_files: List[str] = []
-    for package in ("sync", "ablate", "mem", "hw"):
+    for package in ("sync", "ablate", "mem", "hw", "harness"):
         root = os.path.join(SRC_ROOT, "repro", package)
         package_files.extend(iter_py_files(root))
     return locations, package_files
@@ -147,7 +149,8 @@ def public_surface() -> Tuple[Dict[str, Tuple[str, int]], List[str]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="docstring-coverage gate for repro.__all__, "
-                    "repro.sync, repro.ablate, repro.mem and repro.hw")
+                    "repro.sync, repro.ablate, repro.mem, repro.hw and "
+                    "repro.harness")
     parser.add_argument("--verbose", action="store_true",
                         help="list every definition checked")
     args = parser.parse_args(argv)
