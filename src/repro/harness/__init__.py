@@ -1,8 +1,9 @@
 """Experiment harness: regenerate every table and figure of the paper.
 
 The registry in :mod:`repro.harness.experiments` maps experiment ids
-(``t1``, ``t2``, ``fig1`` .. ``fig16``, ``x1`` .. ``x3``, ``a1`` ..
-``a3``) to runnable experiment definitions at three scales:
+(``t1``, ``t2``, ``fig1`` .. ``fig16``, ``x1`` .. ``x4``, ``a1`` ..
+``a3``, then the sweeps of :mod:`repro.harness.sweeps`) to runnable
+experiment definitions at three scales:
 
 * ``test`` — seconds-long configurations for CI,
 * ``bench`` — the default, preserving the paper's shape claims,
@@ -15,5 +16,6 @@ Run from the command line::
 """
 
 from repro.harness.experiments import REGISTRY, Report, Scale, get_experiment
+from repro.harness import sweeps  # noqa: F401  (registers the sweeps)
 
 __all__ = ["REGISTRY", "Scale", "Report", "get_experiment"]

@@ -30,7 +30,6 @@ goldens and figure data through the ledger + cache and, with
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 import time
@@ -43,10 +42,9 @@ from typing import List, Optional
 from repro import (ConfigurationError, ResultCache, Scale, run_context,
                    trace_session)
 from repro.harness.cache import default_cache_dir, default_ledger_path
-from repro.harness.experiments import (REGISTRY, list_experiments,
-                                       run_experiment, sweep_options)
+from repro.harness.experiments import (REGISTRY, Experiment,
+                                       get_experiment, list_experiments)
 from repro.ledger import Ledger
-from repro.net.faults import parse_crashes, parse_schedule
 from repro.trace import write_chrome_trace, write_metrics_jsonl
 
 
@@ -72,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write one metrics JSON line per "
                              "machine run (machine, app, cycles, "
                              "counters)")
-    _add_sweep_flags(runner, *_SWEEP_FLAGS)
+    _add_axis_option(runner)
     _add_exec_options(runner)
     runner.set_defaults(func=cmd_run)
 
@@ -173,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablater.add_argument("--scale", choices=[s.value for s in Scale],
                          default=Scale.TEST.value,
                          help="problem-size scale (default: test)")
-    _add_sweep_flags(ablater, "ablation-sweep")
+    _add_axis_option(ablater)
     _add_exec_options(ablater)
     # `ablate` is `run ablation-sweep`, defaulting to test scale.
     ablater.set_defaults(func=cmd_run, ids=["ablation-sweep"],
@@ -181,15 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_sweep_flags(sub: argparse.ArgumentParser, *exp_ids: str) -> None:
-    """Declare the ``_SWEEP_FLAGS`` of ``exp_ids`` on ``sub``."""
-    for exp_id in exp_ids:
-        for flag, _field, kind, convert, metavar, text in \
-                _SWEEP_FLAGS[exp_id]:
-            sub.add_argument(
-                flag, type=kind, metavar=metavar, default=None,
-                action="append" if convert is tuple else "store",
-                help=f"{exp_id}: {text}")
+def _add_axis_option(sub: argparse.ArgumentParser) -> None:
+    """--axis: replace one axis of a variant-grid experiment."""
+    sub.add_argument("--axis", action="append", default=[],
+                     metavar="NAME=V1,V2",
+                     help="run the one experiment given (fig14-16 or a "
+                          "sweep) on its variant grid with axis NAME "
+                          "(machines, workloads or values) replaced; "
+                          "values take the grid's labels, e.g. "
+                          "values=0.1 for fault-sweep or "
+                          "values=mcs+tree for sync-sweep (repeatable)")
 
 
 def _add_exec_options(sub: argparse.ArgumentParser) -> None:
@@ -246,124 +245,53 @@ def cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_ids(ids: List[str]) -> Optional[List[str]]:
-    if ids == ["all"]:
-        return [e.exp_id for e in list_experiments()]
-    unknown = [i for i in ids if i not in REGISTRY]
-    if unknown:
-        print(f"unknown experiment ids: {unknown}", file=sys.stderr)
-        print(f"known: {sorted(REGISTRY)}", file=sys.stderr)
-        return None
-    return ids
-
-
-#: exp_id -> ((flag, options field, argparse type, converter, metavar,
-#: help), ...): the one declaration of the sweep flags — the parsers
-#: and the ``sweep_options`` overrides are both derived from it.  A
-#: ``tuple`` converter marks a repeatable flag.
-_SWEEP_FLAGS = {
-    "fault-sweep": (
-        ("--loss-rate", "loss_rates", float, tuple, "P",
-         "per-message drop probability (repeatable; overrides the "
-         "default rate grid)"),
-        ("--fault-seed", "seed", int, int, "N",
-         "seed of the deterministic fault plane (default: 42)"),
-        ("--fault-schedule", "schedule", str, parse_schedule, "SPEC",
-         "targeted fault rules, e.g. 'drop:diff_request:src=2:nth=3; "
-         "dup:lock_grant'")),
-    "failure-sweep": (
-        ("--crash", "crashes", str, parse_crashes, "SPEC",
-         "explicit crash-stop events, e.g. 'crash@node3:t=500000; "
-         "crash@node1:t=2000000:rejoin=9000000' (overrides the "
-         "--crash-frac grid)"),
-        ("--crash-frac", "fracs", float, tuple, "F",
-         "crash the last node at fraction F of the clean run "
-         "(repeatable; default: 0.25 and 0.5)"),
-        ("--detect-cycles", "detect_cycles", int, int, "N",
-         "keepalive backstop — a crashed node is declared dead within "
-         "N cycles even without retransmission traffic (default: "
-         "1000000)")),
-    "sync-sweep": (
-        ("--sync-lock", "locks", str, tuple, "ALG",
-         "lock algorithm to include (repeatable; "
-         "token/mcs/ticket/combining; default: all)"),
-        ("--sync-barrier", "barriers", str, tuple, "ALG",
-         "barrier algorithm to include (repeatable; "
-         "central/tree/combining; default: all)"),
-        ("--sync-workload", "workloads", str, tuple, "NAME",
-         "workload to include (repeatable; default: tsp18 and mwater)"),
-        ("--sync-machine", "machines", str, tuple, "NAME",
-         "machine to include (repeatable; default: as, ah, hs)")),
-    "ablation-sweep": (
-        ("--ablate-mechanism", "mechanisms", str, tuple, "NAME",
-         "mechanism to sweep (repeatable; twins/diffs/lazy_fetch/"
-         "lazy_release/piggyback/diff_merge/backoff; default: all "
-         "seven)"),
-        ("--ablate-workload", "workloads", str, tuple, "NAME",
-         "workload to include (repeatable; default: sor_sim, tsp19, "
-         "mwater)"),
-        ("--ablate-machine", "machines", str, tuple, "NAME",
-         "software machine to include (repeatable; default: as and hs)"),
-        ("--ablate-grid", "grids", str, tuple, "GRID",
-         "spec grid — 'loo' (leave one out) and/or 'only' (one "
-         "mechanism kept); repeatable; default: loo")),
-}
-
-
-def _sweep_overrides(args: argparse.Namespace, ids: List[str]):
-    """``{exp_id: sweep_options kwargs}`` for the sweep flags given.
-
-    A flag left unset overrides nothing; a flag whose experiment is
-    not among ``ids`` is a usage error.
-    """
-    found = {}
-    for exp_id, flags in _SWEEP_FLAGS.items():
-        overrides = {}
-        for flag, field, _kind, convert, _metavar, _help in flags:
-            value = getattr(args, flag[2:].replace("-", "_"), None)
-            if value is not None:
-                overrides[field] = convert(value)
-        if overrides and exp_id not in ids:
-            raise ConfigurationError(
-                f"{'/'.join(entry[0] for entry in flags)} parameterize "
-                f"the '{exp_id}' experiment, which is not among the ids "
-                f"to run")
-        if overrides:
-            found[exp_id] = overrides
-    return found
+def _experiments(ids: List[str], axes: List[str]) -> List[Experiment]:
+    """The experiments ``ids`` name (``all``: every one), with the
+    ``--axis`` overrides applied; a ConfigurationError on any bad id or
+    override."""
+    experiments = ([get_experiment(exp_id) for exp_id in ids]
+                   if ids != ["all"] else list_experiments())
+    if not axes:
+        return experiments
+    if len(experiments) != 1:
+        raise ConfigurationError(
+            f"--axis applies to one experiment, got {len(experiments)}")
+    overrides: dict = {}
+    for text in axes:
+        name, sep, values = text.partition("=")
+        if not sep:
+            raise ConfigurationError(f"--axis takes NAME=V1,V2: {text!r}")
+        overrides[name.strip()] = overrides.get(name.strip(), ()) + tuple(
+            value.strip() for value in values.split(",") if value.strip())
+    return [experiments[0].over(**overrides)]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """``run`` (and ``ablate``): run experiments and print their reports."""
     scale = Scale(args.scale)
-    ids = _resolve_ids(args.ids)
-    if ids is None:
+    try:
+        # Before any session: a usage error must not leave a cache or
+        # ledger behind.
+        experiments = _experiments(args.ids, args.axis)
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
         return 2
 
     def run_all() -> None:
-        for exp_id in ids:
+        for exp in experiments:
             start = time.time()
-            report = run_experiment(exp_id, scale)
+            report = exp.run(scale)
             elapsed = time.time() - start
             print(report.text())
-            print(f"   [{exp_id} at scale={scale.value} in "
+            print(f"   [{exp.exp_id} at scale={scale.value} in "
                   f"{elapsed:.1f}s; "
-                  f"expected shape: {REGISTRY[exp_id].shape_note}]")
+                  f"expected shape: {exp.shape_note}]")
             print()
 
-    with contextlib.ExitStack() as scopes:
-        try:
-            # Sweep scopes first: they validate the flag values, and a
-            # usage error must not leave a ledger session behind.
-            for exp_id, kwargs in _sweep_overrides(args, ids).items():
-                scopes.enter_context(sweep_options(exp_id, **kwargs))
-        except ConfigurationError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        cache = _make_cache(args)
-        ledger = _make_ledger(args)
-        scopes.enter_context(run_context(jobs=args.jobs, cache=cache,
-                                         ledger=ledger, quiet=args.quiet))
+    cache = _make_cache(args)
+    ledger = _make_ledger(args)
+    with run_context(jobs=args.jobs, cache=cache, ledger=ledger,
+                     quiet=args.quiet):
         if args.metrics_out:
             # Metrics-only session: collects every run with zero
             # per-event overhead (no tracers are created).
@@ -382,24 +310,26 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """``trace``: run experiments traced; write a Chrome trace."""
     scale = Scale(args.scale)
-    ids = _resolve_ids(args.ids)
-    if ids is None:
+    try:
+        experiments = _experiments(args.ids, [])
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
         return 2
     out = args.out
     if out is None:
-        out = os.path.join(
-            "traces", f"{'-'.join(ids)}-{scale.value}.trace.json")
+        ids = "-".join(exp.exp_id for exp in experiments)
+        out = os.path.join("traces", f"{ids}-{scale.value}.trace.json")
     out_dir = os.path.dirname(out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
     with trace_session(trace=True) as session:
-        for exp_id in ids:
+        for exp in experiments:
             start = time.time()
-            report = run_experiment(exp_id, scale)
+            report = exp.run(scale)
             elapsed = time.time() - start
             print(report.text())
-            print(f"   [{exp_id} traced at scale={scale.value} in "
+            print(f"   [{exp.exp_id} traced at scale={scale.value} in "
                   f"{elapsed:.1f}s]")
             print()
 

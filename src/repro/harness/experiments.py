@@ -4,36 +4,37 @@ Each entry regenerates one artifact of the paper's evaluation and is
 the one declaration of it: the title, the paper's claim, the shape
 the reproduction must show, any known deviation, the run plan
 (``plan(scale) -> RunPlan``) and the assembly of that plan's results
-into a :class:`Report` (``assemble(scale, plan, results)``).
-EXPERIMENTS.md and ``repro-harness list`` are generated from it.  The
-ids are ``t1``/``t2`` (tables), ``fig1`` .. ``fig16`` (figures),
-``x1`` .. ``x4`` (in-text experiments), ``a1`` .. ``a3`` (ablations of
-design choices the paper calls out) and four robustness and
-design-space sweeps, registered in that order.
+into a :class:`Report` (``assemble(scale, plan, results)``).  An entry
+whose runs are (machines x workloads) x one machine variant declares
+them as a :class:`VariantGrid` instead, and its plan and assembly
+follow from the grid.  EXPERIMENTS.md and ``repro-harness list`` are
+generated from the registry.  The ids are ``t1``/``t2`` (tables),
+``fig1`` .. ``fig16`` (figures), ``x1`` .. ``x4`` (in-text
+experiments), ``a1`` .. ``a3`` (ablations of design choices the paper
+calls out) and, registered after them by
+:mod:`repro.harness.sweeps`, four robustness and design-space sweeps.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
-from repro.ablate import (MECHANISMS, AblationSpec, importance_score,
-                          metric_deltas, run_metrics)
+from repro.ablate import AblationSpec
 from repro.apps import BarrierOnlyApp, LockPingApp
 from repro.errors import ConfigurationError
 from repro.harness import fmt
-from repro.harness.parallel import RunPlan, execute_plan
+from repro.harness.parallel import RunPlan, RunSpec, execute_plan
 from repro.harness.workloads import (EXPERIMENTAL_PROCS, SIMULATED_PROCS,
                                      Scale, make_app)
 from repro.machines import (AllHardwareMachine, AllSoftwareMachine,
                             DecTreadMarksMachine, HybridMachine, SgiMachine,
                             make_machine)
-from repro.net.faults import CrashEvent, FaultPlan, FaultRule
-from repro.net.overhead import OVERHEAD_SWEEP
+from repro.machines.base import Machine
+from repro.net.overhead import OVERHEAD_SWEEP, OverheadPreset
 from repro.stats.result import RunResult
-from repro.sync import BARRIER_ALGORITHMS, LOCK_ALGORITHMS, SyncPolicy
 
 
 @dataclass
@@ -55,17 +56,138 @@ class Report:
 Results = Sequence[RunResult]
 
 
+class Axis(NamedTuple):
+    """One machine variant axis, as a :class:`VariantGrid` sweeps it.
+
+    ``parse`` reads a value label (a bad one raises ConfigurationError
+    or ValueError), ``label`` writes a parsed value's stable label
+    back, and ``settings`` turns a parsed value into ``make_machine``
+    keyword arguments.
+    """
+
+    parse: Callable[[str], Any]
+    label: Callable[[Any], str]
+    settings: Callable[[Any], Dict[str, Any]]
+
+
+@dataclass(frozen=True)
+class VariantGrid:
+    """(machines x workloads) x the ``values`` of one variant ``axis``.
+
+    With a ``baseline`` value, each (machine, workload, value) cell is
+    one run at the largest count of ``procs``, paired with a baseline
+    run at ``base_procs`` (``None``: the cell's own count).  A cell's
+    baseline machine is its own with the baseline value's settings
+    laid over it, so a cell that runs lossy keeps a lossy baseline.  A
+    cell that is the same run as one already planned for its
+    (machine, workload) reuses it.  Without a baseline, each value
+    runs a speedup curve: its 1-processor base, then 1 and every count
+    of ``procs``.  ``procs`` is a tuple, or a mapping from scale to
+    one.  ``report(grid, scale, plan, results)`` writes the
+    experiment's :class:`Report`.
+    """
+
+    machines: Tuple[str, ...]
+    workloads: Tuple[str, ...]
+    procs: Union[Tuple[int, ...], Mapping[Scale, Tuple[int, ...]]]
+    values: Tuple[str, ...]
+    axis: Axis
+    report: Callable[..., Report]
+    baseline: Optional[str] = None
+    base_procs: Optional[int] = None
+
+    def counts(self, scale: Scale) -> Tuple[int, ...]:
+        """The processor counts of ``procs`` at ``scale``."""
+        procs = self.procs
+        return tuple(procs[scale] if isinstance(procs, Mapping) else procs)
+
+    def machine(self, name: str, *values: str) -> Machine:
+        """Machine ``name`` with the settings of ``values`` laid over
+        one another in order."""
+        settings: Dict[str, Any] = {}
+        for value in values:
+            settings.update(self.axis.settings(self.axis.parse(value)))
+        return make_machine(name, **settings)
+
+    def plan(self, scale: Scale) -> RunPlan:
+        """Every run of the grid, machine-major, then workload, then
+        value; the layout files each cell under (machine, workload,
+        value)."""
+        plan = RunPlan()
+        counts = self.counts(scale)
+        for name in self.machines:
+            for workload in self.workloads:
+                app = make_app(workload, scale)
+                if self.baseline is None:
+                    for value in self.values:
+                        plan.curve((name, workload, value),
+                                   self.machine(name, value), app,
+                                   (1,) + counts)
+                    continue
+                planned: Dict[str, int] = {}
+
+                def add(machine: Machine, nprocs: int) -> int:
+                    key = RunSpec(machine, app, nprocs).key()
+                    if key not in planned:
+                        planned[key] = plan.add(machine, app, nprocs)
+                    return planned[key]
+
+                top = max(counts)
+                bases = [add(self.machine(name, value, self.baseline),
+                             self.base_procs or top)
+                         for value in self.values]
+                for value, base in zip(self.values, bases):
+                    plan.layout[name, workload, value] = (
+                        base, add(self.machine(name, value), top))
+        return plan
+
+    def cells(self, plan: RunPlan, results: Results) -> Dict[Tuple, Tuple]:
+        """``{(machine, workload, value): (base, result)}`` in plan
+        order; a curve grid's result is the value's speedup series."""
+        if self.baseline is None:
+            return {key: (results[plan.layout[key][0]], series)
+                    for key, series in plan.series(results).items()}
+        return {key: (results[base], results[index])
+                for key, (base, index) in plan.layout.items()}
+
+    def assemble(self, scale: Scale, plan: RunPlan,
+                 results: Results) -> Report:
+        """The experiment's report on this grid's results."""
+        return self.report(self, scale, plan, results)
+
+    def over(self, **axes: Sequence[str]) -> "VariantGrid":
+        """This grid with some of its machines, workloads and values
+        replaced (the CLI's ``--axis``), the values under their stable
+        labels.  Building the new grid's test-scale plan checks every
+        name and value here, before anything runs."""
+        for name, given in axes.items():
+            if name not in ("machines", "workloads", "values") or not given:
+                raise ConfigurationError(
+                    f"bad axis {name}={','.join(given)}: name machines, "
+                    f"workloads or values, with at least one value")
+        try:
+            if "values" in axes:
+                axes["values"] = [self.axis.label(self.axis.parse(value))
+                                  for value in axes["values"]]
+            grid = replace(self, **{name: tuple(given)
+                                    for name, given in axes.items()})
+            grid.plan(Scale.TEST)
+        except ValueError as exc:
+            raise ConfigurationError(f"bad axis value: {exc}") from None
+        return grid
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One registry entry: everything the repo says about one artifact.
 
     ``plan`` declares every run the artifact needs at a scale;
     ``assemble`` turns that plan's results into the :class:`Report`,
-    finding which result is which in ``plan.layout``.  ``paper_claim``
-    is what the paper reports, ``shape_note`` the shape the
-    reproduction must show, and ``deviation`` (empty when there is
-    none) says where and why the measured shape departs from the
-    paper's.
+    finding which result is which in ``plan.layout``.  An entry
+    declared by a ``grid`` takes both from it.  ``paper_claim`` is
+    what the paper reports, ``shape_note`` the shape the reproduction
+    must show, and ``deviation`` (empty when there is none) says where
+    and why the measured shape departs from the paper's.
     """
 
     exp_id: str
@@ -73,15 +195,34 @@ class Experiment:
     paper_ref: str
     shape_note: str
     paper_claim: str
-    plan: Callable[[Scale], RunPlan]
-    assemble: Callable[[Scale, RunPlan, Results], Report]
+    plan: Callable[[Scale], RunPlan] = None
+    assemble: Callable[[Scale, RunPlan, Results], Report] = None
     deviation: str = ""
+    grid: Optional[VariantGrid] = None
+
+    def __post_init__(self) -> None:
+        if self.grid is not None:
+            object.__setattr__(self, "plan", self.grid.plan)
+            object.__setattr__(self, "assemble", self.grid.assemble)
+
+    def over(self, **axes: Sequence[str]) -> "Experiment":
+        """This experiment on its grid with ``axes`` replaced (see
+        :meth:`VariantGrid.over`)."""
+        if self.grid is None:
+            raise ConfigurationError(f"'{self.exp_id}' has no variant grid")
+        return replace(self, grid=self.grid.over(**axes))
+
+    def run(self, scale: Scale) -> Report:
+        """Build the plan, execute it once, assemble the report."""
+        plan = self.plan(scale)
+        return self.assemble(scale, plan, execute_plan(plan))
 
 
 REGISTRY: Dict[str, Experiment] = {}
 
 
-def _register(exp: Experiment) -> None:
+def register(exp: Experiment) -> None:
+    """Add ``exp`` to the registry, after every entry already there."""
     REGISTRY[exp.exp_id] = exp
 
 
@@ -156,7 +297,7 @@ def _t2_assemble(scale: Scale, plan: RunPlan, results: Results) -> Report:
     return report
 
 
-_register(Experiment(
+register(Experiment(
     "t1", "Single-processor execution times", "Table 1",
     shape_note="DSM overhead at 1 processor is ~nil; the SGI is slower for "
                "working sets exceeding its L2, roughly equal otherwise.",
@@ -170,7 +311,7 @@ _register(Experiment(
               "machinery, which is the paper's observation (measured "
               "difference within noise)."))
 
-_register(Experiment(
+register(Experiment(
     "t2", "8-processor TreadMarks execution statistics", "Table 2",
     shape_note="Sync-rate ordering: Water >> M-Water > TSP-18 > TSP-19; "
                "ILINK-BAD >> ILINK-CLP in barrier and message rates.",
@@ -257,7 +398,7 @@ _EXPERIMENTAL_FIGURES = [
 ]
 
 for _fid, _wl, _ref, _note, _claim, _deviation in _EXPERIMENTAL_FIGURES:
-    _register(Experiment(
+    register(Experiment(
         _fid, f"{_wl} speedup (TreadMarks vs SGI)", _ref, _note, _claim,
         partial(_experimental_plan, _wl),
         partial(_experimental_assemble, _fid), _deviation))
@@ -296,9 +437,10 @@ _SIM_FIGURES = [
      "shrinks with more CPUs.",
      "Simulated TSP: AH and HS comparable; AS falls behind as the "
      "computation-to-communication ratio drops.",
-     "Our scaled instances (12 cities standing in for 19) leave too little "
-     "work per processor at 64 CPUs, so the HS/AS curves are noisier and "
-     "flatter than the paper's; the ordering AH ≥ HS ≥ AS still holds.  "
+     "Our scaled instances (12 cities at bench scale and 13 at paper "
+     "scale, standing in for 19) leave too little work per processor at "
+     "64 CPUs, so the HS/AS curves are noisier and flatter than the "
+     "paper's; the ordering AH ≥ HS ≥ AS still holds.  "
      "Branch-and-bound is also inherently instance-sensitive — seed 11 of "
      "our generator reproduces the paper's occasional super-linear "
      "hardware speedup."),
@@ -317,7 +459,7 @@ _SIM_FIGURES = [
 ]
 
 for _fid, _wl, _ref, _note, _claim, _deviation in _SIM_FIGURES:
-    _register(Experiment(
+    register(Experiment(
         _fid, f"{_wl} on AH/HS/AS (simulation)", _ref, _note, _claim,
         partial(_sim_plan, _wl), partial(_sim_assemble, _fid), _deviation))
 
@@ -395,7 +537,7 @@ def _fig13_assemble(scale: Scale, plan: RunPlan,
     return report
 
 
-_register(Experiment(
+register(Experiment(
     "fig12", "Total messages, HS vs AS", "Figure 12",
     shape_note="HS sends a small fraction of AS's messages (1/4 .. 1/9, "
                "application dependent); sync messages shrink least.",
@@ -408,7 +550,7 @@ _register(Experiment(
               "queue token migrate between nodes almost every pop); miss "
               "messages drop ~10x as expected."))
 
-_register(Experiment(
+register(Experiment(
     "fig13", "Total data, HS vs AS", "Figure 13",
     shape_note="HS moves ~1/4 .. 1/8 of AS's data; diff coalescing cuts miss "
                "data, notice batching cuts consistency data.",
@@ -420,47 +562,37 @@ _register(Experiment(
 # ======================================================================
 # Figures 14-16: software-overhead sweeps
 # ======================================================================
-def _overhead_plan(workload: str, hybrid: bool, scale: Scale) -> RunPlan:
-    # One plan for the full (preset x processor-count) grid; the
-    # shared 1-proc baseline (AS presets only differ in messaging
-    # overheads) runs once.
-    plan = RunPlan()
-    app = make_app(workload, scale)
-    for preset in OVERHEAD_SWEEP:
-        if hybrid:
-            machine = HybridMachine(
-                HybridMachine().params.with_overhead(preset))
-        else:
-            machine = AllSoftwareMachine(overhead_preset=preset)
-        ov = preset.build()
-        label = (f"fixed={ov.fixed_send_cycles}"
-                 f",word={ov.per_word_cycles}")
-        plan.curve(label, machine, app, (1,) + tuple(SIMULATED_PROCS[scale]))
-    return plan
+#: An overhead preset, by its ``OverheadPreset`` value.
+OVERHEAD = Axis(OverheadPreset, lambda preset: preset.value,
+                lambda preset: {"params": {"overhead_preset": preset}})
 
 
-def _overhead_assemble(exp_id: str, workload: str, hybrid: bool,
-                       scale: Scale, plan: RunPlan,
-                       results: Results) -> Report:
-    speedups = {label: series.speedups()
-                for label, series in plan.series(results).items()}
-    arch = "HS" if hybrid else "AS"
-    report = Report(exp_id, f"{workload} on {arch}, software-overhead "
-                            f"sweep")
-    report.lines = fmt.format_speedups(speedups, SIMULATED_PROCS[scale])
-    report.data = {"speedups": speedups}
-    return report
+def _overhead_report(exp_id: str, grid: VariantGrid, scale: Scale,
+                     plan: RunPlan, results: Results) -> Report:
+    speedups = {}
+    for (name, workload, value), (_base, series) in \
+            grid.cells(plan, results).items():
+        ov = OverheadPreset(value).build()
+        label = f"fixed={ov.fixed_send_cycles},word={ov.per_word_cycles}"
+        if len(grid.machines) * len(grid.workloads) > 1:
+            label = f"{name}/{workload} {label}"
+        speedups[label] = series.speedups()
+    return Report(exp_id, f"{'/'.join(grid.workloads)} on "
+                          f"{'/'.join(grid.machines).upper()}, "
+                          f"software-overhead sweep",
+                  fmt.format_speedups(speedups, grid.counts(scale)),
+                  {"speedups": speedups})
 
 
-#: (id, title, workload, on HS?, paper ref, shape note, paper claim,
+#: (id, title, machine, workload, paper ref, shape note, paper claim,
 #: known deviation).
 _OVERHEAD_FIGURES = [
-    ("fig14", "Overhead sweep: AS, SOR", "sor_sim", False, "Figure 14",
+    ("fig14", "Overhead sweep: AS, SOR", "as", "sor_sim", "Figure 14",
      "Fixed per-message cost dominates SOR on AS; reducing it brings AS "
      "near AH/HS.",
      "SOR on AS: reducing the fixed per-message cost has the largest "
      "effect; speedup approaches the other architectures.", ""),
-    ("fig15", "Overhead sweep: AS, M-Water", "mwater", False, "Figure 15",
+    ("fig15", "Overhead sweep: AS, M-Water", "as", "mwater", "Figure 15",
      "Fixed and per-word costs matter about equally for M-Water on AS.",
      "M-Water on AS: fixed and per-word costs matter about equally.",
      "The paper reports fixed and per-word costs mattering about equally; "
@@ -474,19 +606,22 @@ _OVERHEAD_FIGURES = [
      "is message size (our run-compressed notices keep messages smaller on "
      "average than the paper's).  The direction of every individual knob "
      "matches."),
-    ("fig16", "Overhead sweep: HS, M-Water", "mwater", True, "Figure 16",
+    ("fig16", "Overhead sweep: HS, M-Water", "hs", "mwater", "Figure 16",
      "On HS the fixed cost matters more than per-word (diff coalescing "
      "already cut the data volume).",
      "M-Water on HS: the fixed cost matters more than for AS (HS already "
      "cut data volume more than message count).", ""),
 ]
 
-for (_fid, _title, _wl, _hybrid, _ref, _note, _claim,
+for (_fid, _title, _machine, _wl, _ref, _note, _claim,
      _deviation) in _OVERHEAD_FIGURES:
-    _register(Experiment(
-        _fid, _title, _ref, _note, _claim,
-        partial(_overhead_plan, _wl, _hybrid),
-        partial(_overhead_assemble, _fid, _wl, _hybrid), _deviation))
+    # One curve per preset; the AS presets differ only in messaging
+    # overheads, so their shared 1-processor baseline runs once.
+    register(Experiment(
+        _fid, _title, _ref, _note, _claim, deviation=_deviation,
+        grid=VariantGrid((_machine,), (_wl,), SIMULATED_PROCS,
+                         tuple(preset.value for preset in OVERHEAD_SWEEP),
+                         OVERHEAD, partial(_overhead_report, _fid))))
 
 
 # ======================================================================
@@ -608,7 +743,7 @@ def _x4_assemble(scale: Scale, plan: RunPlan, results: Results) -> Report:
     return report
 
 
-_register(Experiment(
+register(Experiment(
     "x1", "TSP with eager lock release", "§2.4.3",
     shape_note="Eager release propagates the bound at release time and "
                "recovers most of the SGI gap.",
@@ -617,7 +752,7 @@ _register(Experiment(
                 "to the SGI's.",
     plan=_x1_plan, assemble=_x1_assemble))
 
-_register(Experiment(
+register(Experiment(
     "x2", "Kernel-level TreadMarks", "§2.4.4",
     shape_note="Kernel-level messaging sharply improves M-Water; barrier "
                "apps (ILINK, SOR) barely change.",
@@ -625,7 +760,7 @@ _register(Experiment(
                 "SOR and TSP barely change, M-Water improves sharply.",
     plan=_x2_plan, assemble=_x2_assemble))
 
-_register(Experiment(
+register(Experiment(
     "x3", "SOR with every point changing", "§2.3/§2.4.2",
     shape_note="Equalizing data movement: TreadMarks moves far more data "
                "than with the zero interior, but still beats the SGI.",
@@ -633,7 +768,7 @@ _register(Experiment(
                 "movement; TreadMarks still achieves the better speedup.",
     plan=_x3_plan, assemble=_x3_assemble))
 
-_register(Experiment(
+register(Experiment(
     "x4", "Synchronization micro-costs", "§2.2 / §2.4.4",
     shape_note="Minimum remote lock acquisition and 8-processor barrier "
                "times; the kernel-level implementation roughly halves both.",
@@ -740,24 +875,24 @@ def _a3_assemble(scale: Scale, plan: RunPlan, results: Results) -> Report:
     return report
 
 
-_register(Experiment(
-    "a1", "Diffs vs whole-page transfer", "DESIGN.md A1",
+register(Experiment(
+    "a1", "Diffs vs whole-page transfer", "DESIGN.md §2",
     shape_note="Whole-page transfers multiply data movement for "
                "fine-grain-write applications.",
     paper_claim="(Repo ablation — no paper counterpart.) Diffs vs whole-page "
                 "transfer on the fault path.",
     plan=_a1_plan, assemble=_a1_assemble))
 
-_register(Experiment(
-    "a2", "Lazy vs eager release across applications", "DESIGN.md A2",
+register(Experiment(
+    "a2", "Lazy vs eager release across applications", "DESIGN.md §2",
     shape_note="Eager release helps the unsynchronized-read pattern (TSP) "
                "and hurts high-lock-rate applications (more messages).",
     paper_claim="(Repo ablation.) Lazy vs eager release across programs: "
                 "eager trades extra messages for freshness.",
     plan=_a2_plan, assemble=_a2_assemble))
 
-_register(Experiment(
-    "a3", "HS node-size sweep", "DESIGN.md A3",
+register(Experiment(
+    "a3", "HS node-size sweep", "DESIGN.md §2",
     shape_note="Larger nodes cut messages; returns diminish once the node "
                "bus and the per-node DSM serialize.",
     paper_claim="(Repo ablation.) HS node-size sweep: bigger nodes cut "
@@ -765,633 +900,12 @@ _register(Experiment(
     plan=_a3_plan, assemble=_a3_assemble))
 
 
-# ======================================================================
-# Robustness: the fault sweep
-# ======================================================================
-
-#: Loss rates swept by ``fault-sweep`` unless overridden via
-#: :func:`sweep_options` (the CLI's ``--loss-rate`` flags).
-DEFAULT_LOSS_RATES: Tuple[float, ...] = (0.0, 0.005, 0.02, 0.05)
-
-#: One bandwidth-bound, one sync-light, one lock-heavy workload — the
-#: three degradation regimes loss can expose.
-FAULT_SWEEP_WORKLOADS: Tuple[str, ...] = ("sor_small", "tsp19", "mwater")
-
-
-@dataclass(frozen=True)
-class FaultSweepOptions:
-    """Parameters of the ``fault-sweep`` experiment."""
-
-    loss_rates: Tuple[float, ...] = DEFAULT_LOSS_RATES
-    seed: int = 42
-    schedule: Tuple[FaultRule, ...] = ()
-
-    def plan(self, rate: float) -> FaultPlan:
-        """The fault plan of one swept loss rate."""
-        return FaultPlan(loss_rate=rate, seed=self.seed,
-                         schedule=self.schedule)
-
-
-def _fault_sweep_plan(scale: Scale) -> RunPlan:
-    opts = current_options("fault-sweep")
-    procs = max(EXPERIMENTAL_PROCS)
-    # One plan for the (workload x loss-rate) grid.  The rate-0 plan is
-    # *disabled*, so its machine fingerprints — and cache entries —
-    # coincide with the lossless TreadMarks runs of t1/t2/fig3-8: the
-    # zero-overhead-when-disabled invariant, asserted by CI.
-    plan = RunPlan()
-    for workload in FAULT_SWEEP_WORKLOADS:
-        app = make_app(workload, scale)
-        base_index = plan.add(DecTreadMarksMachine(), app, 1)
-        plan.layout[workload] = (base_index, [
-            (rate, plan.add(DecTreadMarksMachine(faults=opts.plan(rate)),
-                            app, procs))
-            for rate in opts.loss_rates])
-    return plan
-
-
-def _fault_sweep_assemble(scale: Scale, plan: RunPlan,
-                          results: Results) -> Report:
-    opts = current_options("fault-sweep")
-    procs = max(EXPERIMENTAL_PROCS)
-    rows = []
-    data: Dict[str, Dict] = {}
-    for workload, (base_index, entries) in plan.layout.items():
-        base = results[base_index]
-        for rate, index in entries:
-            r = results[index]
-            speedup = base.seconds / r.seconds
-            c = r.counters
-            rows.append([workload, rate, speedup, c.retransmissions,
-                         c.duplicates_dropped, c.timeout_cycles])
-            data.setdefault(workload, {})[f"{rate:g}"] = {
-                "speedup": speedup,
-                "retransmissions": c.retransmissions,
-                "duplicates_dropped": c.duplicates_dropped,
-                "messages_dropped": c.messages_dropped,
-                "timeout_cycles": c.timeout_cycles,
-            }
-    report = Report("fault-sweep",
-                    f"TreadMarks speedup at {procs} processors vs. "
-                    f"message loss rate (fault seed {opts.seed})")
-    report.lines = fmt.format_table(
-        ["program", "loss rate", "speedup", "retransmits",
-         "dups dropped", "timeout cycles"], rows)
-    report.data = data
-    return report
-
-
-_register(Experiment(
-    "fault-sweep", "Speedup vs. network loss rate (TreadMarks)", "robustness",
-    shape_note="Speedup decays monotonically as loss rises; retransmission "
-               "and duplicate counters grow from zero; no run hangs.",
-    paper_claim="(Repo robustness experiment — no paper counterpart.)  The "
-                "paper's TreadMarks runs over UDP and supplies its own "
-                "reliability (§2.2); this sweep injects deterministic "
-                "message loss under the reliable-delivery layer and measures "
-                "the speedup decay: monotone per program, steepest for the "
-                "message-rate-bound programs.",
-    plan=_fault_sweep_plan, assemble=_fault_sweep_assemble,
-    deviation="At bench scale, in the TSP and M-Water rows, the speedup can "
-              "tick *up* by 1-2% at the lowest loss rates before the decay "
-              "takes over: TSP's branch-and-bound prunes differently when "
-              "loss perturbs bound-propagation timing, and M-Water's "
-              "lock-token migration order shifts.  The monotone decay the "
-              "experiment claims is exact at test scale and holds at bench "
-              "scale once recovery cost dominates (the largest rate is "
-              "always the slowest).  SOR, with no data-dependent control "
-              "flow, decays strictly at every scale."))
-
-
-# ======================================================================
-# Robustness: the failure sweep (crash-stop recovery)
-# ======================================================================
-
-#: Fractions of the *clean* run's length at which the crash lands —
-#: early (recovery cost amortized over most of the run) and midway.
-DEFAULT_CRASH_FRACS: Tuple[float, ...] = (0.25, 0.5)
-
-#: One barrier-structured and one lock-structured workload; crashes
-#: stress the two recovery paths (barrier reconfiguration vs lock
-#: token regeneration) differently.
-FAILURE_SWEEP_WORKLOADS: Tuple[str, ...] = ("sor_sim", "tsp19")
-
-#: The two software-DSM simulated architectures.  Hardware machines
-#: reject crash plans outright (no recovery story), so they are not
-#: sweepable here.
-FAILURE_SWEEP_MACHINES: Tuple[str, ...] = ("as", "hs")
-
-
-@dataclass(frozen=True)
-class FailureSweepOptions:
-    """Parameters of the ``failure-sweep`` experiment.
-
-    ``crashes`` (the CLI's ``--crash``) overrides the derived schedule:
-    when non-empty, every cell runs with exactly these events instead
-    of one crash at each ``fracs`` fraction of the clean run.
-    """
-
-    fracs: Tuple[float, ...] = DEFAULT_CRASH_FRACS
-    workloads: Tuple[str, ...] = FAILURE_SWEEP_WORKLOADS
-    machines: Tuple[str, ...] = FAILURE_SWEEP_MACHINES
-    crashes: Tuple[CrashEvent, ...] = ()
-    detect_cycles: int = 1_000_000
-
-
-def _sweep_num_nodes(mname: str, machine, procs: int) -> int:
-    """DSM node count of a sweep cell (crash targets are *nodes*)."""
-    if mname == "hs":
-        per_node = machine.params.procs_per_node
-        return max(1, procs // per_node)
-    return procs
-
-
-def _failure_sweep_plan(scale: Scale) -> RunPlan:
-    """Phase 1, the clean cells.  These coincide (fingerprints and all)
-    with fig9/fig10 points, so a warm cache serves them; their cycle
-    counts deterministically place the crashes of phase 2."""
-    opts = current_options("failure-sweep")
-    procs = max(SIMULATED_PROCS[scale])
-    plan = RunPlan()
-    for mname in opts.machines:
-        for workload in opts.workloads:
-            app = make_app(workload, scale)
-            machine = make_machine(mname)
-            plan.layout[mname, workload] = (plan.add(machine, app, 1),
-                                            plan.add(machine, app, procs))
-    return plan
-
-
-def _failure_sweep_assemble(scale: Scale, clean_plan: RunPlan,
-                            clean_results: Results) -> Report:
-    opts = current_options("failure-sweep")
-    procs = max(SIMULATED_PROCS[scale])
-
-    # Phase 2: the crashed cells.  Unless --crash pinned an explicit
-    # schedule, the last DSM node crashes at each configured fraction
-    # of the clean run — a pure function of phase 1, so the whole
-    # sweep stays deterministic and cacheable.
-    plan = RunPlan()
-    for (mname, workload), (base_index, clean_index) in \
-            clean_plan.layout.items():
-        clean = clean_results[clean_index]
-        spec = clean_plan.specs[clean_index]
-        num_nodes = _sweep_num_nodes(mname, spec.machine, procs)
-        if num_nodes < 2:
-            continue                  # no survivor would remain
-        if opts.crashes:
-            schedules = [("explicit", opts.crashes)]
-        else:
-            schedules = [
-                (f"{frac:g}",
-                 (CrashEvent(num_nodes - 1, int(frac * clean.cycles)),))
-                for frac in opts.fracs]
-        for tag, crashes in schedules:
-            faults = FaultPlan(crashes=crashes,
-                               detect_cycles=opts.detect_cycles)
-            machine = make_machine(mname, faults=faults)
-            plan.layout[mname, workload, tag] = (
-                crashes, base_index, clean_index,
-                plan.add(machine, spec.app, procs))
-    results = execute_plan(plan)
-
-    rows = []
-    data: Dict[str, Dict] = {}
-    for (mname, workload, tag), (crashes, base_index, clean_index,
-                                 index) in plan.layout.items():
-        base = clean_results[base_index]
-        clean = clean_results[clean_index]
-        r = results[index]
-        c = r.counters
-        degraded = r.degraded or {}
-        speedup = base.seconds / r.seconds
-        clean_speedup = base.seconds / clean.seconds
-        rows.append([mname, workload, tag,
-                     len(degraded.get("failed_nodes", ())),
-                     speedup, clean_speedup, c.detection_cycles,
-                     c.pages_rehomed, c.pages_lost, c.locks_regenerated,
-                     c.barrier_reconfigs])
-        data.setdefault(workload, {}).setdefault(mname, {})[tag] = {
-            "speedup": speedup,
-            "clean_speedup": clean_speedup,
-            "degraded": degraded,
-            "crashes": [{"node": e.node, "at": e.at, "rejoin": e.rejoin}
-                        for e in crashes],
-            "detect_cycles": opts.detect_cycles,
-            "detection_cycles": c.detection_cycles,
-            "pages_rehomed": c.pages_rehomed,
-            "pages_lost": c.pages_lost,
-            "locks_regenerated": c.locks_regenerated,
-            "barrier_reconfigs": c.barrier_reconfigs,
-        }
-    report = Report("failure-sweep",
-                    f"Crash-stop recovery at {procs} processors "
-                    f"(detect backstop {opts.detect_cycles} cycles)")
-    report.lines = fmt.format_table(
-        ["machine", "program", "crash", "failed", "degraded sp",
-         "clean sp", "detect cyc", "rehomed", "lost", "locks",
-         "barriers"], rows)
-    report.data = data
-    return report
-
-
-_register(Experiment(
-    "failure-sweep", "Degraded completion under crash-stop node failures",
-    "robustness",
-    shape_note="Every crashed cell completes degraded on n-1 nodes with "
-               "byte-identical summaries across serial/pool/warm-cache; "
-               "detection latency is bounded by the keepalive backstop and "
-               "recovery counters (pages rehomed/lost, locks regenerated, "
-               "barrier reconfigs) come out non-zero.",
-    paper_claim="(Repo robustness experiment — no paper counterpart.)  The "
-                "paper's machines assume fail-free nodes; this sweep "
-                "crash-stops a node mid-run under the software machines and "
-                "measures degraded completion: every cell still finishes and "
-                "verifies, detection latency is bounded by the keepalive "
-                "backstop, and the recovery counters (pages re-homed/lost, "
-                "lock tokens regenerated, barrier reconfigurations) account "
-                "for the repair.  A barrier-structured program loses most of "
-                "its speedup (every survivor stalls for the detection "
-                "window) but every degraded cell still beats one processor.",
-    plan=_failure_sweep_plan, assemble=_failure_sweep_assemble,
-    deviation="Restated claim.  The bar was \"a degraded run retains at "
-              "least 0.10 of its clean speedup\".  That holds at 16 "
-              "processors (worst 0.257, `as/sor_sim`) but not at 64 (worst "
-              "0.073, `hs/sor_sim`): SOR's survivors all stall at the next "
-              "barrier for the whole detection window, which is long next "
-              "to a clean 64-processor run.  `validate` gates the claim "
-              "that is true at both: every degraded cell still beats one "
-              "processor (minimum speedup 2.30 at bench scale, 1.26 at test "
-              "scale)."))
-
-
-# ======================================================================
-# The synchronization design space: the sync sweep
-# ======================================================================
-
-#: One lock-heavy and one barrier-heavy workload — the two traffic
-#: patterns the lock and barrier axes of the design space stress.
-SYNC_SWEEP_WORKLOADS: Tuple[str, ...] = ("tsp18", "mwater")
-
-#: The three simulated large-scale architectures; the experimental
-#: machines can be swept too (``sweep_options("sync-sweep",
-#: machines=...)``) but cap at 8 processors where the policies barely
-#: separate.
-SYNC_SWEEP_MACHINES: Tuple[str, ...] = ("as", "ah", "hs")
-
-
-@dataclass(frozen=True)
-class SyncSweepOptions:
-    """Parameters of the ``sync-sweep`` experiment."""
-
-    locks: Tuple[str, ...] = LOCK_ALGORITHMS
-    barriers: Tuple[str, ...] = BARRIER_ALGORITHMS
-    workloads: Tuple[str, ...] = SYNC_SWEEP_WORKLOADS
-    machines: Tuple[str, ...] = SYNC_SWEEP_MACHINES
-
-    def policies(self) -> List[SyncPolicy]:
-        """Every (lock, barrier) policy of the swept grid."""
-        return [SyncPolicy(lock=lk, barrier=bar)
-                for lk in self.locks for bar in self.barriers]
-
-
-def _sync_sweep_plan(scale: Scale) -> RunPlan:
-    opts = current_options("sync-sweep")
-    procs = tuple(SIMULATED_PROCS[scale])
-    # One plan for the whole (machine x workload x policy) grid.  The
-    # 1-processor baselines dedup across policies: a software machine's
-    # uniprocessor fingerprint hides everything non-local, including
-    # the sync policy, so each (machine, workload) baseline runs once.
-    plan = RunPlan()
-    for mname in opts.machines:
-        for workload in opts.workloads:
-            app = make_app(workload, scale)
-            for policy in opts.policies():
-                plan.curve((mname, workload, policy.label()),
-                           make_machine(mname, sync=policy), app,
-                           (1,) + procs)
-    return plan
-
-
-def _sync_sweep_assemble(scale: Scale, plan: RunPlan,
-                         results: Results) -> Report:
-    top = max(SIMULATED_PROCS[scale])
-    rows = []
-    data: Dict[str, Dict] = {}
-    for (mname, workload, label), series in plan.series(results).items():
-        r_top = series.at(top)
-        c = r_top.counters
-        rows.append([mname, workload, label,
-                     series.speedups()[top], c.combining_hits])
-        data.setdefault(workload, {}).setdefault(mname, {})[label] = {
-            "speedups": {str(p): s for p, s in series.speedups().items()},
-            "seconds": r_top.seconds,
-            "combining_hits": c.combining_hits,
-            "lock_wait_cycles": c.lock_wait_cycles,
-            "lock_hold_cycles": c.lock_hold_cycles,
-            "sync_messages": c.sync_messages,
-        }
-
-    # The crossover view: how close the best software-machine policy
-    # brings AS/HS to AH's default at the largest machine.
-    summary: Dict[str, Dict] = {}
-    for workload, machines in data.items():
-        ah = machines.get("ah", {}).get("token+central")
-        for mname in ("as", "hs"):
-            cells = machines.get(mname)
-            if not cells or "token+central" not in cells:
-                continue
-            default_sp = cells["token+central"]["speedups"][str(top)]
-            best_label, best = max(
-                cells.items(),
-                key=lambda kv: kv[1]["speedups"][str(top)])
-            best_sp = best["speedups"][str(top)]
-            summary[f"{workload}/{mname}"] = {
-                "default": default_sp,
-                "best": best_sp,
-                "best_policy": best_label,
-                "gain": best_sp / default_sp if default_sp else 0.0,
-                "ah_default": (ah["speedups"][str(top)] if ah else None),
-            }
-
-    report = Report("sync-sweep",
-                    f"Lock x barrier design space at up to {top} "
-                    f"processors")
-    report.lines = fmt.format_table(
-        ["machine", "program", "policy", f"speedup@{top}",
-         "combining hits"], rows)
-    report.lines.append("")
-    for key, s in summary.items():
-        report.lines.append(
-            f"{key}: default {s['default']:.2f} -> best "
-            f"{s['best']:.2f} ({s['best_policy']}, "
-            f"{100 * (s['gain'] - 1):+.1f}%)")
-    report.data = {"cells": data, "summary": summary, "top_procs": top}
-    return report
-
-
-_register(Experiment(
-    "sync-sweep", "Speedup across the lock x barrier design space",
-    "DESIGN.md §sync",
-    shape_note="Tree/combining barriers lift the software machines at high "
-               "processor counts (the centralized manager's O(n) handler "
-               "serialization is the bottleneck they remove); lock choice "
-               "barely moves DSM apps.  AH moves less across policies than "
-               "the best software gain.",
-    paper_claim="(Repo design-space experiment — extends §3's comparison.)  "
-                "The paper attributes the software machines' synchronization "
-                "gap to message handling on the critical path (§3.3.4); this "
-                "sweep makes the synchronization algorithm a free variable "
-                "(token/mcs/ticket/combining locks x central/tree/combining "
-                "barriers) and measures how far the best policy moves AS and "
-                "HS toward AH's default.  Expected: distributing the barrier "
-                "(tree, or combining in the switch) lifts the barrier-bound "
-                "programs on AS; lock choice barely matters on a DSM, where "
-                "lock transfer cost is dominated by the consistency data it "
-                "drags along; AH moves less than the best software gain — "
-                "hardware synchronization was never the bottleneck.",
-    plan=_sync_sweep_plan, assemble=_sync_sweep_assemble,
-    deviation="Restated claim (AH flatness).  The bar was \"AH's best/worst "
-              "policy spread is at most x1.05\".  That holds at 16 "
-              "processors (x1.019, test scale) but not at 64 (x1.132, bench "
-              "scale), where the ticket lock's release notification costs "
-              "AH M-Water about 10%.  `validate` gates the claim that is "
-              "true at both: AH's spread stays below the best "
-              "software-machine gain (x1.132 < x1.175 at bench scale, "
-              "x1.019 < x1.052 at test)."))
-
-
-# ======================================================================
-# The mechanism design space: the ablation sweep
-# ======================================================================
-
-#: One barrier-heavy, one branch-and-bound, one lock-heavy workload —
-#: each DSM mechanism earns its keep on a different traffic pattern.
-ABLATION_SWEEP_WORKLOADS: Tuple[str, ...] = ("sor_sim", "tsp19", "mwater")
-
-#: The two software-DSM simulated architectures.  The hardware
-#: machines have none of the ablatable mechanisms and reject
-#: non-default specs.
-ABLATION_SWEEP_MACHINES: Tuple[str, ...] = ("as", "hs")
-
-#: Supported spec grids: ``loo`` (leave one mechanism out of the full
-#: protocol) and ``only`` (keep one mechanism, strip the rest).
-ABLATION_GRIDS: Tuple[str, ...] = ("loo", "only")
-
-
-@dataclass(frozen=True)
-class AblationSweepOptions:
-    """Parameters of the ``ablation-sweep`` experiment."""
-
-    mechanisms: Tuple[str, ...] = MECHANISMS
-    workloads: Tuple[str, ...] = ABLATION_SWEEP_WORKLOADS
-    machines: Tuple[str, ...] = ABLATION_SWEEP_MACHINES
-    grids: Tuple[str, ...] = ("loo",)
-    #: The backoff mechanism is inert on a lossless network, so its
-    #: cells run under a small-loss fault plan (ablated *and* its
-    #: full-protocol baseline, keeping the comparison paired).
-    loss_rate: float = 0.01
-    fault_seed: int = 42
-
-    def __post_init__(self) -> None:
-        for mech in self.mechanisms:
-            if mech not in MECHANISMS:
-                raise ConfigurationError(
-                    f"unknown mechanism '{mech}'; choose from "
-                    f"{', '.join(MECHANISMS)}")
-        for grid in self.grids:
-            if grid not in ABLATION_GRIDS:
-                raise ConfigurationError(
-                    f"unknown ablation grid '{grid}'; choose from "
-                    f"{', '.join(ABLATION_GRIDS)}")
-
-    def fault_plan(self) -> FaultPlan:
-        """The small-loss plan the backoff cells run under."""
-        return FaultPlan(loss_rate=self.loss_rate, seed=self.fault_seed)
-
-    def specs(self, grid: str) -> List[Tuple[str, AblationSpec]]:
-        """(mechanism, spec) cells of one grid, in mechanism order."""
-        if grid == "loo":
-            return [(m, AblationSpec.without(m)) for m in self.mechanisms]
-        return [(m, AblationSpec.only(m)) for m in self.mechanisms]
-
-
-def _ablation_sweep_plan(scale: Scale) -> RunPlan:
-    opts = current_options("ablation-sweep")
-    top = max(SIMULATED_PROCS[scale])
-    # One plan for the whole grid.  Each (machine, workload) gets a
-    # full-protocol baseline; each swept mechanism gets one ablated
-    # cell per grid against that baseline.  Backoff cells (loo grid)
-    # pair a lossy ablated run with a lossy full-protocol baseline.
-    plan = RunPlan()
-    for mname in opts.machines:
-        for workload in opts.workloads:
-            app = make_app(workload, scale)
-            full_index = plan.add(make_machine(mname), app, top)
-            faulty_full_index = None
-            if "backoff" in opts.mechanisms and "loo" in opts.grids:
-                faulty_full_index = plan.add(
-                    make_machine(mname, faults=opts.fault_plan()),
-                    app, top)
-            for grid in opts.grids:
-                for mech, spec in opts.specs(grid):
-                    if grid == "loo" and mech == "backoff":
-                        index = plan.add(
-                            make_machine(mname, faults=opts.fault_plan(),
-                                         ablate=spec), app, top)
-                        base_index = faulty_full_index
-                    else:
-                        index = plan.add(
-                            make_machine(mname, ablate=spec), app, top)
-                        base_index = full_index
-                    plan.layout[mname, workload, grid, mech] = (
-                        spec, base_index, index)
-    return plan
-
-
-def _ablation_sweep_assemble(scale: Scale, plan: RunPlan,
-                             results: Results) -> Report:
-    opts = current_options("ablation-sweep")
-    top = max(SIMULATED_PROCS[scale])
-    rows = []
-    cells: Dict[str, Dict] = {}
-    #: mechanism -> list of (score, cell key, deltas) over loo cells.
-    loo_scores: Dict[str, List[Tuple[float, str, Dict[str, float]]]] = {}
-    for (mname, workload, grid, mech), (spec, base_index, index) in \
-            plan.layout.items():
-        full = run_metrics(results[base_index])
-        ablated = run_metrics(results[index])
-        deltas = metric_deltas(full, ablated)
-        score = importance_score(full, ablated)
-        key = f"{mname}/{workload}"
-        rows.append([mname, workload, grid, spec.label(),
-                     deltas["seconds"], deltas["messages"],
-                     deltas["bytes"], deltas["diff_bytes"], score])
-        cells.setdefault(key, {}).setdefault(grid, {})[mech] = {
-            "spec": spec.label(),
-            "full": full,
-            "ablated": ablated,
-            "deltas": deltas,
-            "score": score,
-        }
-        if grid == "loo":
-            loo_scores.setdefault(mech, []).append((score, key, deltas))
-
-    # The ranked "which mechanism earns its cost" view: a mechanism's
-    # headline importance is its peak leave-one-out score over the
-    # swept (machine, workload) cells.
-    ranking = []
-    for mech, entries in loo_scores.items():
-        peak_score, peak_key, peak_deltas = max(entries)
-        ranking.append({
-            "mechanism": mech,
-            "score": peak_score,
-            "peak_cell": peak_key,
-            "peak_deltas": peak_deltas,
-            # Positive seconds delta: removing the mechanism slows the
-            # run down, i.e. the mechanism pays for itself.
-            "earns_cost": peak_deltas["seconds"] > 0,
-        })
-    ranking.sort(key=lambda e: e["score"], reverse=True)
-
-    report = Report("ablation-sweep",
-                    f"Mechanism importance at {top} processors "
-                    f"(leave-one-out{' + one-only' if 'only' in opts.grids else ''})")
-    report.lines = fmt.format_table(
-        ["machine", "program", "grid", "spec", "d.seconds", "d.msgs",
-         "d.bytes", "d.diffbytes", "score"], rows)
-    if ranking:
-        report.lines.append("")
-        report.lines.append("mechanism importance (peak leave-one-out "
-                            "score; + = removing it hurts):")
-        for rank, entry in enumerate(ranking, start=1):
-            sign = "+" if entry["earns_cost"] else "-"
-            report.lines.append(
-                f"{rank}. {entry['mechanism']:<13s} {entry['score']:8.3f} "
-                f"{sign}  peak at {entry['peak_cell']} "
-                f"(d.seconds {entry['peak_deltas']['seconds']:+.3f}, "
-                f"d.msgs {entry['peak_deltas']['messages']:+.3f})")
-    report.data = {"cells": cells, "ranking": ranking, "top_procs": top,
-                   "grids": list(opts.grids),
-                   "mechanisms": list(opts.mechanisms)}
-    return report
-
-
-_register(Experiment(
-    "ablation-sweep", "Per-mechanism importance over the DSM protocol",
-    "DESIGN.md §8",
-    shape_note="Lazy diff fetching dominates on barrier-heavy SOR (eager "
-               "fetching refetches every invalidated page per sync); "
-               "diffs/twins matter most where pages are sparsely written "
-               "(Water); piggybacking saves a message per sync pair; backoff "
-               "only separates under loss.",
-    paper_claim="(Repo design-space experiment — extends §2.4's protocol "
-                "description.)  The paper stacks seven separable DSM "
-                "mechanisms (twins, RLE diffs, lazy diff fetch, lazy "
-                "release, write-notice piggybacking, diff merging, "
-                "exponential retransmission backoff) but never isolates "
-                "their contributions; this sweep switches each one off "
-                "(leave-one-out) on AS and HS and ranks them by importance — "
-                "the mean relative change over seconds, messages, bytes, and "
-                "diff bytes, peaked across (machine, workload) cells.  "
-                "Expected: diffs dominate (whole-page transfer multiplies "
-                "M-Water's bytes), lazy fetch next (eager fetch floods pages "
-                "the node never reads), every mechanism nonzero somewhere; "
-                "backoff registers only under injected loss, so its cell "
-                "pairs a lossy ablated run with a lossy full-protocol "
-                "baseline.",
-    plan=_ablation_sweep_plan, assemble=_ablation_sweep_assemble))
-
-
-# ======================================================================
-# Sweep options: one ambient override mechanism for the four sweeps
-# ======================================================================
-
-#: The experiments that take parameters, and the frozen dataclass that
-#: validates and expands them (``plan()`` / ``policies()`` / ``specs()``).
-SWEEP_OPTIONS: Dict[str, type] = {
-    "fault-sweep": FaultSweepOptions,
-    "failure-sweep": FailureSweepOptions,
-    "sync-sweep": SyncSweepOptions,
-    "ablation-sweep": AblationSweepOptions,
-}
-
-_option_scopes: List[Tuple[str, object]] = []
-
-
-@contextmanager
-def sweep_options(exp_id: str, **overrides):
-    """Ambient overrides for one sweep experiment (mirrors ``run_context``).
-
-    ``overrides`` are fields of ``SWEEP_OPTIONS[exp_id]``; scopes nest,
-    innermost wins, and scopes for different experiments are independent.
-    """
-    if exp_id not in SWEEP_OPTIONS:
-        raise ConfigurationError(
-            f"'{exp_id}' takes no sweep options; choose from "
-            f"{sorted(SWEEP_OPTIONS)}")
-    opts = SWEEP_OPTIONS[exp_id](**overrides)
-    _option_scopes.append((exp_id, opts))
-    try:
-        yield opts
-    finally:
-        _option_scopes.pop()
-
-
-def current_options(exp_id: str):
-    """The innermost :func:`sweep_options` for ``exp_id``, or its defaults."""
-    for scoped_id, opts in reversed(_option_scopes):
-        if scoped_id == exp_id:
-            return opts
-    return SWEEP_OPTIONS[exp_id]()
-
-
-def run_experiment(exp_id: str, scale: Scale = Scale.BENCH) -> Report:
-    """Run one experiment by id at the given scale: build its plan,
-    execute it once, assemble the report from the results."""
+def run_experiment(exp_id: str, scale: Scale = Scale.BENCH,
+                   **axes: Sequence[str]) -> Report:
+    """Run one experiment by id at the given scale, on its grid with
+    ``axes`` replaced when any are given."""
     exp = get_experiment(exp_id)
-    plan = exp.plan(scale)
-    return exp.assemble(scale, plan, execute_plan(plan))
+    return (exp.over(**axes) if axes else exp).run(scale)
 
 
 def list_experiments() -> List[Experiment]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import sys
 import zlib
 from typing import NamedTuple
@@ -13,8 +12,7 @@ import pytest
 from repro.apps import ops
 from repro.apps.base import Application
 from repro.harness import parallel
-from repro.harness.experiments import (Report, Scale, run_experiment,
-                                       sweep_options)
+from repro.harness.experiments import Report, Scale, run_experiment
 from repro.machines import (AllHardwareMachine, AllSoftwareMachine,
                             DecTreadMarksMachine, HybridMachine, SgiMachine)
 from repro.machines.base import Machine
@@ -159,15 +157,15 @@ def lockcounter():
 # Registry experiments, run once per session
 # ======================================================================
 
-#: Reduced grids for the sweep experiments: the predicates only need
-#: one cell of each kind they read, and tier-1 should not pay for the
-#: full design spaces (``validate --scale bench`` in CI does).
+#: Axis restrictions of the sweep experiments' grids: the predicates
+#: only need one cell of each kind they read, and tier-1 should not pay
+#: for the full design spaces (``validate --scale bench`` in CI does).
 REDUCED_SWEEPS = {
-    "sync-sweep": dict(locks=("token",), barriers=("central", "tree"),
+    "sync-sweep": dict(values=("token+central", "token+tree"),
                        workloads=("mwater",), machines=("as", "ah")),
-    "failure-sweep": dict(fracs=(0.5,), workloads=("sor_sim",),
+    "failure-sweep": dict(values=("0.5",), workloads=("sor_sim",),
                           machines=("as",)),
-    "ablation-sweep": dict(mechanisms=("diffs", "piggyback"),
+    "ablation-sweep": dict(values=("no-diffs", "no-piggyback"),
                            workloads=("mwater",), machines=("as",)),
 }
 
@@ -199,14 +197,13 @@ def _run_counted(exp_id: str) -> RegistryRun:
             counts["bare_runs"] += 1
         return real_run(self, *args, **kwargs)
 
-    reduced = (sweep_options(exp_id, **REDUCED_SWEEPS[exp_id])
-               if exp_id in REDUCED_SWEEPS else contextlib.nullcontext())
-    with pytest.MonkeyPatch.context() as mp, reduced:
+    with pytest.MonkeyPatch.context() as mp:
         for module in list(sys.modules.values()):
             if vars(module).get("execute_plan") is real_plan:
                 mp.setattr(module, "execute_plan", counting_plan)
         mp.setattr(Machine, "run", counting_run)
-        report = run_experiment(exp_id, Scale.TEST)
+        report = run_experiment(exp_id, Scale.TEST,
+                                **REDUCED_SWEEPS.get(exp_id, {}))
     return RegistryRun(report, counts["plans"], counts["bare_runs"])
 
 
@@ -214,7 +211,7 @@ def _run_counted(exp_id: str) -> RegistryRun:
 def registry_runs():
     """``get(exp_id)`` -> :class:`RegistryRun` at ``Scale.TEST``.
 
-    Each experiment runs once per session (sweeps on
+    Each experiment runs once per session (sweeps on the axes of
     :data:`REDUCED_SWEEPS`), so the structure, predicate and run-path
     tests share one simulation of every report.
     """

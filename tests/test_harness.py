@@ -1,8 +1,8 @@
 """Harness: registry completeness, formatting, workloads, CLI."""
 
-import dataclasses
 import importlib
 import os
+import re
 
 import pytest
 
@@ -10,12 +10,10 @@ import repro
 
 from repro.errors import ConfigurationError
 from repro.harness import fmt
-from repro.harness.cli import _SWEEP_FLAGS, build_parser, main
-from repro.harness.experiments import (REGISTRY, SWEEP_OPTIONS, Scale,
-                                       current_options,
-                                       get_experiment,
-                                       list_experiments, run_experiment,
-                                       sweep_options)
+from repro.harness import experiments
+from repro.harness.cli import build_parser, main
+from repro.harness.experiments import (REGISTRY, Scale, get_experiment,
+                                       list_experiments, run_experiment)
 from repro.harness.workloads import (EXPERIMENTAL_PROCS, WORKLOADS,
                                      make_app)
 
@@ -140,102 +138,148 @@ def test_cli_parser_requires_command():
         build_parser().parse_args([])
 
 
-# -- sweep options: one ambient mechanism, one CLI flag table ------------
-def test_sweep_options_scopes_nest_and_stay_per_experiment():
-    assert current_options("sync-sweep") == SWEEP_OPTIONS["sync-sweep"]()
-    with sweep_options("sync-sweep", locks=("mcs",)) as outer:
-        with sweep_options("fault-sweep", seed=7):
-            assert current_options("sync-sweep") is outer
-            assert current_options("fault-sweep").seed == 7
-            with sweep_options("sync-sweep", locks=("ticket",)):
-                assert current_options("sync-sweep").locks == ("ticket",)
-            assert current_options("sync-sweep") is outer
-        assert current_options("fault-sweep").seed == 42
-    assert current_options("sync-sweep").locks != ("mcs",)
+# -- variant grids: one declared type, one --axis flag -----------------
+GRIDS = {exp_id: exp.grid for exp_id, exp in REGISTRY.items() if exp.grid}
 
 
-def test_sweep_options_validate_experiment_and_fields():
-    with pytest.raises(ConfigurationError, match="takes no sweep options"):
-        with sweep_options("fig3"):
-            pass
-    with pytest.raises(TypeError):
-        with sweep_options("sync-sweep", loss_rates=(0.1,)):
-            pass
-    with pytest.raises(ConfigurationError, match="unknown mechanism"):
-        with sweep_options("ablation-sweep", mechanisms=("telepathy",)):
-            pass
+def test_the_sweeps_and_overhead_figures_are_grids():
+    assert list(GRIDS) == ["fig14", "fig15", "fig16", "fault-sweep",
+                           "failure-sweep", "sync-sweep", "ablation-sweep"]
+    for exp_id, grid in GRIDS.items():
+        exp = REGISTRY[exp_id]
+        assert exp.plan == grid.plan and exp.assemble == grid.assemble
 
 
-def test_cli_sweep_flag_table_matches_parser_and_options():
-    """Every flag in the table exists on `run` and names a real field."""
-    args = build_parser().parse_args(["run", "fig3"])
-    for exp_id, flags in _SWEEP_FLAGS.items():
-        fields = {f.name for f in dataclasses.fields(SWEEP_OPTIONS[exp_id])}
-        for flag, field, *_ in flags:
-            assert getattr(args, flag[2:].replace("-", "_")) is None
-            assert field in fields, (exp_id, field)
+@pytest.mark.parametrize("exp_id", list(GRIDS))
+def test_grid_values_round_trip_their_labels(exp_id):
+    grid = GRIDS[exp_id]
+    for value in grid.values + ((grid.baseline,) if grid.baseline else ()):
+        assert grid.axis.label(grid.axis.parse(value)) == value
 
 
-def test_cli_sweep_flags_reach_their_experiment(capsys, monkeypatch):
-    seen = {}
-    x3 = get_experiment("x3")
+def test_grid_override_is_an_explicit_replacement():
+    """``over`` returns a new experiment on a new grid; the registry
+    entry and every axis not named keep their declared values."""
+    sync = get_experiment("sync-sweep")
+    narrowed = sync.over(values=("mcs",), machines=("as",))
+    assert narrowed.grid.values == ("mcs+central",)
+    assert narrowed.grid.machines == ("as",)
+    assert narrowed.grid.workloads == sync.grid.workloads
+    assert narrowed.plan(Scale.TEST).layout.keys() == {
+        ("as", workload, "mcs+central") for workload in sync.grid.workloads}
+    assert REGISTRY["sync-sweep"] is sync and len(sync.grid.values) == 12
 
-    def spy(scale):
-        seen["opts"] = current_options("sync-sweep")
-        return x3.plan(scale)
 
-    monkeypatch.setitem(REGISTRY, "sync-sweep",
-                        dataclasses.replace(x3, exp_id="sync-sweep",
-                                            plan=spy))
-    assert main(["run", "sync-sweep", "--scale", "test", "--no-cache",
-                 "--no-ledger", "--sync-lock", "mcs", "--sync-lock",
-                 "ticket", "--sync-machine", "as"]) == 0
-    assert seen["opts"].locks == ("mcs", "ticket")
-    assert seen["opts"].machines == ("as",)
-    assert seen["opts"].barriers == SWEEP_OPTIONS["sync-sweep"]().barriers
+def test_grid_override_validates_names_and_values():
+    with pytest.raises(ConfigurationError, match="no variant grid"):
+        get_experiment("fig3").over(values=("x",))
+    with pytest.raises(ConfigurationError, match="bad axis"):
+        get_experiment("sync-sweep").over(locks=("mcs",))
+    with pytest.raises(ConfigurationError, match="unknown ablation"):
+        get_experiment("ablation-sweep").over(values=("no-telepathy",))
+    with pytest.raises(ConfigurationError, match="bad axis value"):
+        get_experiment("fault-sweep").over(values=("lots",))
+    with pytest.raises(ConfigurationError, match="unknown machine"):
+        get_experiment("fault-sweep").over(machines=("vax",))
+
+
+class _Planned(Exception):
+    """Raised by the ``execute_plan`` spy once it has seen a plan."""
+
+
+@pytest.fixture
+def planned(monkeypatch):
+    """The plans experiments hand to ``execute_plan``; the first one
+    ends the command (nothing is simulated)."""
+    seen = []
+
+    def spy(plan, **_kwargs):
+        seen.append(plan)
+        raise _Planned
+
+    monkeypatch.setattr(experiments, "execute_plan", spy)
+    return seen
+
+
+def test_cli_axis_values_reach_the_fault_sweep_plan(planned):
+    with pytest.raises(_Planned):
+        main(["run", "fault-sweep", "--scale", "test", "--no-cache",
+              "--no-ledger", "--axis", "values=0.1"])
+    plan, = planned
+    assert {value for _m, _w, value in plan.layout} == {"loss0.1"}
+    assert [(spec.machine.faults.loss_rate, spec.nprocs)
+            for spec in plan.specs] == [(0.0, 1), (0.1, 8)] * 3
+
+
+def test_cli_sweep_flags_reach_their_experiment(planned):
+    with pytest.raises(_Planned):
+        main(["run", "sync-sweep", "--scale", "test", "--no-cache",
+              "--no-ledger", "--axis", "values=mcs,ticket+tree",
+              "--axis", "machines=as"])
+    plan, = planned
+    assert list(plan.layout) == [
+        ("as", workload, value)
+        for workload in REGISTRY["sync-sweep"].grid.workloads
+        for value in ("mcs+central", "ticket+tree")]
 
 
 def test_cli_sweep_flag_without_its_experiment_is_a_usage_error(capsys):
-    assert main(["run", "fig3", "--scale", "test", "--crash-frac",
-                 "0.5"]) == 2
-    err = capsys.readouterr().err
-    assert "--crash/--crash-frac/--detect-cycles" in err
-    assert "'failure-sweep'" in err
+    assert main(["run", "fig3", "--scale", "test",
+                 "--axis", "values=0.1"]) == 2
+    assert "'fig3' has no variant grid" in capsys.readouterr().err
+    assert main(["run", "fault-sweep", "sync-sweep", "--scale", "test",
+                 "--axis", "values=0.1"]) == 2
+    assert "--axis applies to one experiment" in capsys.readouterr().err
 
 
 def test_cli_bad_sweep_value_is_a_usage_error_before_any_session(
         capsys, tmp_path):
-    cache_dir = tmp_path / "cache"
-    assert main(["run", "ablation-sweep", "--scale", "test",
-                 "--cache-dir", str(cache_dir),
-                 "--ablate-mechanism", "telepathy"]) == 2
-    assert "unknown mechanism" in capsys.readouterr().err
-    assert not cache_dir.exists()  # neither cache nor ledger was opened
+    for argv, message in [
+            (["ablation-sweep", "--axis", "mechanisms=diffs"], "bad axis"),
+            (["ablation-sweep", "--axis", "values=no-telepathy"],
+             "unknown ablation mechanism"),
+            (["failure-sweep", "--axis", "values=crash@nodeX:t=5"],
+             "integer node"),
+            (["fault-sweep", "--axis", "values=lots"], "bad axis value"),
+            (["fault-sweep", "sync-sweep", "--axis", "values=0.1"],
+             "one experiment")]:
+        cache_dir = tmp_path / "cache"
+        assert main(["run", *argv, "--scale", "test",
+                     "--cache-dir", str(cache_dir)]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+        assert not cache_dir.exists()  # neither cache nor ledger opened
 
 
-def test_cli_ablate_is_run_ablation_sweep_at_test_scale(capsys,
-                                                        monkeypatch):
-    seen = {}
-    x3 = get_experiment("x3")
+def test_cli_axis_is_the_one_sweep_flag():
+    parser = build_parser()
+    assert parser.parse_args(["run", "fig3"]).axis == []
+    for flag in ("--sync-lock", "--crash", "--loss-rate", "--ablate-grid"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "sync-sweep", flag, "x"])
 
-    def spy(scale):
-        seen["scale"] = scale
-        seen["opts"] = current_options("ablation-sweep")
-        return x3.plan(scale)
 
-    monkeypatch.setitem(REGISTRY, "ablation-sweep",
-                        dataclasses.replace(x3, exp_id="ablation-sweep",
-                                            plan=spy))
+def test_cli_ablate_is_run_ablation_sweep_at_test_scale(capsys):
     assert main(["ablate", "--no-cache", "--no-ledger",
-                 "--ablate-mechanism", "diffs",
-                 "--ablate-machine", "as"]) == 0
-    assert seen["scale"] is Scale.TEST
-    assert seen["opts"].mechanisms == ("diffs",)
-    assert seen["opts"].machines == ("as",)
-    assert "[ablation-sweep at scale=test" in capsys.readouterr().out
-    # The alias takes only its own experiment's flags.
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["ablate", "--sync-lock", "mcs"])
+                 "--axis", "values=no-diffs", "--axis", "machines=as",
+                 "--axis", "workloads=tsp19"]) == 0
+    out = capsys.readouterr().out
+    assert "[ablation-sweep at scale=test" in out
+    assert re.search(r"^as\s+tsp19\s+loo\s+no-diffs\s", out, re.M)
+
+
+def test_design_md_paper_refs_name_existing_headings():
+    """A ``paper_ref`` that cites DESIGN.md names one of its sections,
+    by number or by title."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "DESIGN.md")) as fh:
+        headings = re.findall(r"^#+ (?:(\d+)\. )?(.+)$", fh.read(), re.M)
+    sections = {part for heading in headings for part in heading if part}
+    cited = [exp.paper_ref for exp in REGISTRY.values()
+             if "DESIGN.md" in exp.paper_ref]
+    assert cited
+    for ref in cited:
+        assert re.fullmatch(r"DESIGN\.md §(.+)", ref), ref
+        assert ref.split("§", 1)[1] in sections, ref
 
 
 def test_pyproject_takes_its_version_from_the_package():
