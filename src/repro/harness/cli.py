@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     validator = sub.add_parser(
         "validate",
-        help="evaluate the paper's shape claims as PASS/FAIL checks")
+        help="evaluate every experiment's claims; print each one's "
+             "signed margin and PASS/FAIL")
     validator.add_argument("--scale", choices=[s.value for s in Scale],
                            default=Scale.BENCH.value)
     _add_exec_options(validator)
@@ -245,10 +246,11 @@ def cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiments(ids: List[str], axes: List[str]) -> List[Experiment]:
+def _experiments(ids: List[str], axes: List[str],
+                 scale: Scale) -> List[Experiment]:
     """The experiments ``ids`` name (``all``: every one), with the
-    ``--axis`` overrides applied; a ConfigurationError on any bad id or
-    override."""
+    ``--axis`` overrides applied and checked at ``scale``; a
+    ConfigurationError on any bad id or override."""
     experiments = ([get_experiment(exp_id) for exp_id in ids]
                    if ids != ["all"] else list_experiments())
     if not axes:
@@ -263,7 +265,7 @@ def _experiments(ids: List[str], axes: List[str]) -> List[Experiment]:
             raise ConfigurationError(f"--axis takes NAME=V1,V2: {text!r}")
         overrides[name.strip()] = overrides.get(name.strip(), ()) + tuple(
             value.strip() for value in values.split(",") if value.strip())
-    return [experiments[0].over(**overrides)]
+    return [experiments[0].over(scale, **overrides)]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -272,7 +274,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         # Before any session: a usage error must not leave a cache or
         # ledger behind.
-        experiments = _experiments(args.ids, args.axis)
+        experiments = _experiments(args.ids, args.axis, scale)
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -311,7 +313,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """``trace``: run experiments traced; write a Chrome trace."""
     scale = Scale(args.scale)
     try:
-        experiments = _experiments(args.ids, [])
+        experiments = _experiments(args.ids, [], scale)
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -354,18 +356,29 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    """``validate``: evaluate every shape check; 1 if any fails."""
-    from repro.harness.validate import format_results, run_validation
+    """``validate``: run each experiment that declares claims once and
+    print every claim's signed margin (it holds iff > 0); a FAIL adds
+    the command that shows its table.  1 if any claim fails."""
     scale = Scale(args.scale)
     cache = _make_cache(args)
     ledger = _make_ledger(args)
+    held: List[bool] = []
     with run_context(jobs=args.jobs, cache=cache, ledger=ledger,
                      quiet=args.quiet):
-        results = run_validation(scale)
-    for line in format_results(results, scale):
-        print(line)
+        for exp in [exp for exp in list_experiments() if exp.claims]:
+            report = exp.run(scale)
+            for claim in exp.claims:
+                margin = claim.margin(report)
+                held.append(margin > 0)
+                print(f"[{'PASS' if held[-1] else 'FAIL'}] "
+                      f"{claim.name:<34} {margin:+8.3f} ({exp.exp_id}) "
+                      f"{claim.text}")
+                if not held[-1]:
+                    print(f"       reproduce: repro-harness run "
+                          f"{exp.exp_id} --scale {scale.value}")
+    print(f"{sum(held)}/{len(held)} claims hold")
     _report_cache(cache, ledger)
-    return 0 if all(ok for _c, ok in results) else 1
+    return 0 if all(held) else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -3,13 +3,15 @@
 Each entry regenerates one artifact of the paper's evaluation and is
 the one declaration of it: the title, the paper's claim, the shape
 the reproduction must show, any known deviation, the run plan
-(``plan(scale) -> RunPlan``) and the assembly of that plan's results
-into a :class:`Report` (``assemble(scale, plan, results)``).  An entry
-whose runs are (machines x workloads) x one machine variant declares
-them as a :class:`VariantGrid` instead, and its plan and assembly
-follow from the grid.  EXPERIMENTS.md and ``repro-harness list`` are
-generated from the registry.  The ids are ``t1``/``t2`` (tables),
-``fig1`` .. ``fig16`` (figures), ``x1`` .. ``x4`` (in-text
+(``plan(scale) -> RunPlan``), the assembly of that plan's results
+into a :class:`Report` (``assemble(scale, plan, results)``) and the
+claims that report must show (:class:`Claim`), each evaluated to a
+signed margin (``repro-harness validate`` prints and gates them).  An
+entry whose runs are (machines x workloads) x one machine variant
+declares them as a :class:`VariantGrid` instead, and its plan and
+assembly follow from the grid.  EXPERIMENTS.md and ``repro-harness
+list`` are generated from the registry.  The ids are ``t1``/``t2``
+(tables), ``fig1`` .. ``fig16`` (figures), ``x1`` .. ``x4`` (in-text
 experiments), ``a1`` .. ``a3`` (ablations of design choices the paper
 calls out) and, registered after them by
 :mod:`repro.harness.sweeps`, four robustness and design-space sweeps.
@@ -54,6 +56,39 @@ class Report:
 
 #: The results of a plan, in plan order.
 Results = Sequence[RunResult]
+
+
+class Claim(NamedTuple):
+    """One claim an experiment's report must show, by a signed margin.
+
+    The claim holds iff ``margin(report) > 0``.  A comparison
+    ``a > k*b`` has margin ``a / (k*b) - 1`` (see :func:`exceeds`); a
+    conjunction, or a claim about every cell, the ``min`` of its parts;
+    a claim about every cell of an empty set, a negative margin.  Each
+    is calibrated at bench scale, the scale the CI gate runs; one that
+    does not hold there is restated in its entry's ``deviation``, not
+    given a per-scale threshold.
+    """
+
+    name: str
+    text: str
+    margin: Callable[[Report], float]
+
+
+def exceeds(a: float, b: float) -> float:
+    """The margin of ``a > b``: how far ``a`` exceeds ``b``, relative."""
+    return a / b - 1
+
+
+def _within(x: float, low: float, high: float) -> float:
+    """The margin of ``low < x < high``."""
+    return min(exceeds(x, low), exceeds(high, x))
+
+
+def _top(report: Report, machine: str) -> float:
+    """``machine``'s speedup at the largest processor count."""
+    speedups = report.data["speedups"][machine]
+    return speedups[max(speedups)]
 
 
 class Axis(NamedTuple):
@@ -155,11 +190,12 @@ class VariantGrid:
         """The experiment's report on this grid's results."""
         return self.report(self, scale, plan, results)
 
-    def over(self, **axes: Sequence[str]) -> "VariantGrid":
+    def over(self, scale: Scale, **axes: Sequence[str]) -> "VariantGrid":
         """This grid with some of its machines, workloads and values
         replaced (the CLI's ``--axis``), the values under their stable
-        labels.  Building the new grid's test-scale plan checks every
-        name and value here, before anything runs."""
+        labels.  Building the new grid's plan at ``scale``, the scale
+        it is to run at, checks every name and value here, before
+        anything runs."""
         for name, given in axes.items():
             if name not in ("machines", "workloads", "values") or not given:
                 raise ConfigurationError(
@@ -171,7 +207,7 @@ class VariantGrid:
                                   for value in axes["values"]]
             grid = replace(self, **{name: tuple(given)
                                     for name, given in axes.items()})
-            grid.plan(Scale.TEST)
+            grid.plan(scale)
         except ValueError as exc:
             raise ConfigurationError(f"bad axis value: {exc}") from None
         return grid
@@ -186,8 +222,9 @@ class Experiment:
     finding which result is which in ``plan.layout``.  An entry
     declared by a ``grid`` takes both from it.  ``paper_claim`` is
     what the paper reports, ``shape_note`` the shape the reproduction
-    must show, and ``deviation`` (empty when there is none) says where
-    and why the measured shape departs from the paper's.
+    must show, ``deviation`` (empty when there is none) says where
+    and why the measured shape departs from the paper's, and
+    ``claims`` are what the report must show, as margins.
     """
 
     exp_id: str
@@ -199,18 +236,19 @@ class Experiment:
     assemble: Callable[[Scale, RunPlan, Results], Report] = None
     deviation: str = ""
     grid: Optional[VariantGrid] = None
+    claims: Tuple[Claim, ...] = ()
 
     def __post_init__(self) -> None:
         if self.grid is not None:
             object.__setattr__(self, "plan", self.grid.plan)
             object.__setattr__(self, "assemble", self.grid.assemble)
 
-    def over(self, **axes: Sequence[str]) -> "Experiment":
-        """This experiment on its grid with ``axes`` replaced (see
-        :meth:`VariantGrid.over`)."""
+    def over(self, scale: Scale, **axes: Sequence[str]) -> "Experiment":
+        """This experiment on its grid with ``axes`` replaced, checked
+        at ``scale`` (see :meth:`VariantGrid.over`)."""
         if self.grid is None:
             raise ConfigurationError(f"'{self.exp_id}' has no variant grid")
-        return replace(self, grid=self.grid.over(**axes))
+        return replace(self, grid=self.grid.over(scale, **axes))
 
     def run(self, scale: Scale) -> Report:
         """Build the plan, execute it once, assemble the report."""
@@ -266,11 +304,16 @@ def _t1_assemble(scale: Scale, plan: RunPlan, results: Results) -> Report:
         # measured the same to within noise).
         rows.append([results[tm].app, t_tm, t_tm, t_sgi, t_sgi / t_tm])
         data[name] = {"dec": t_tm, "treadmarks": t_tm, "sgi": t_sgi}
-    report = Report("t1", "Single-processor execution times (seconds)")
-    report.lines = fmt.format_table(
-        ["program", "DEC", "DEC+TreadMarks", "SGI", "SGI/DEC"], rows)
-    report.data = data
-    return report
+    return Report("t1", "Single-processor execution times (seconds)",
+                  fmt.format_table(["program", "DEC", "DEC+TreadMarks",
+                                    "SGI", "SGI/DEC"], rows), data)
+
+
+def _dsm_overhead(report: Report) -> float:
+    """The largest relative gap between the DEC and DEC+TreadMarks
+    columns."""
+    return max(abs(v["treadmarks"] - v["dec"]) / v["dec"]
+               for v in report.data.values())
 
 
 def _t2_plan(scale: Scale) -> RunPlan:
@@ -289,12 +332,9 @@ def _t2_assemble(scale: Scale, plan: RunPlan, results: Results) -> Report:
         rows.append([r.app, r.barriers_per_sec, r.remote_locks_per_sec,
                      r.messages_per_sec, r.kbytes_per_sec])
         data[name] = r.summary()
-    report = Report("t2", "8-processor TreadMarks execution statistics")
-    report.lines = fmt.format_table(
-        ["program", "barriers/s", "remote locks/s", "messages/s",
-         "Kbytes/s"], rows)
-    report.data = data
-    return report
+    return Report("t2", "8-processor TreadMarks execution statistics",
+                  fmt.format_table(["program", "barriers/s", "remote locks/s",
+                                    "messages/s", "Kbytes/s"], rows), data)
 
 
 register(Experiment(
@@ -309,7 +349,19 @@ register(Experiment(
     deviation="The DEC and DEC+TreadMarks columns are identical by "
               "construction: at one node the protocol engages no remote "
               "machinery, which is the paper's observation (measured "
-              "difference within noise)."))
+              "difference within noise).",
+    claims=(
+        Claim("t1-dsm-overhead-nil",
+              "TreadMarks adds ~nothing to single-processor times",
+              lambda r: 1 - _dsm_overhead(r) / 0.02),
+        Claim("t1-sgi-slower-on-big-sor",
+              "The SGI is >10% slower than the DEC when SOR exceeds its L2",
+              lambda r: exceeds(r.data["sor_large"]["sgi"],
+                                1.1 * r.data["sor_large"]["dec"])),
+        # +1 when identical, else minus the largest relative gap.
+        Claim("t1-dec-columns-identical",
+              "The DEC and DEC+TreadMarks columns are identical (the "
+              "deviation's evidence)", lambda r: -_dsm_overhead(r) or 1.0))))
 
 register(Experiment(
     "t2", "8-processor TreadMarks execution statistics", "Table 2",
@@ -319,7 +371,20 @@ register(Experiment(
                 "thousands of remote lock acquires/second, M-Water an order "
                 "of magnitude fewer; TSP-18 syncs more than TSP-19; "
                 "ILINK-BAD has several times CLP's barrier and message rates.",
-    plan=_t2_plan, assemble=_t2_assemble))
+    plan=_t2_plan, assemble=_t2_assemble,
+    claims=(
+        Claim("t2-water-syncs-most",
+              "Water has the highest remote-lock rate of the suite",
+              lambda r: exceeds(
+                  r.data["water"]["remote_locks_per_sec"],
+                  max(v["remote_locks_per_sec"] for k, v in r.data.items()
+                      if k != "water"))),
+        Claim("t2-bad-beats-clp",
+              "ILINK-BAD out-messages and out-barriers ILINK-CLP",
+              lambda r: min(exceeds(r.data["ilink_bad"][rate],
+                                    r.data["ilink_clp"][rate])
+                            for rate in ("barriers_per_sec",
+                                         "messages_per_sec"))))))
 
 
 # ======================================================================
@@ -337,34 +402,37 @@ def _experimental_assemble(exp_id: str, scale: Scale, plan: RunPlan,
                            results: Results) -> Report:
     series = plan.series(results)
     speedups = {name: s.speedups() for name, s in series.items()}
-    report = Report(exp_id, f"{plan.specs[0].app.name} speedups, "
-                            f"TreadMarks vs SGI 4D/480")
-    report.lines = fmt.format_speedups(speedups, EXPERIMENTAL_PROCS)
-    report.data = {"speedups": speedups,
+    return Report(exp_id, f"{plan.specs[0].app.name} speedups, "
+                          f"TreadMarks vs SGI 4D/480",
+                  fmt.format_speedups(speedups, EXPERIMENTAL_PROCS),
+                  {"speedups": speedups,
                    "base_seconds": {n: s.base_seconds
-                                    for n, s in series.items()}}
-    return report
+                                    for n, s in series.items()}})
 
 
-#: (id, workload, paper ref, shape note, paper claim, known deviation).
+#: (id, workload, paper ref, shape note, paper claim, known deviation,
+#: claims).
 _EXPERIMENTAL_FIGURES = [
     ("fig1", "ilink_clp", "Figure 1",
      "SGI above TreadMarks; smallest ILINK gap (coarse grain, low barrier "
      "rate).",
      "ILINK-CLP: both machines speed up sublinearly (inherent load "
      "imbalance); the SGI leads by the smallest margin of the ILINK inputs.",
-     ""),
+     "", ()),
     ("fig2", "ilink_bad", "Figure 2",
      "SGI above TreadMarks; largest ILINK gap (fine grain, high barrier "
      "rate).",
      "ILINK-BAD: worst ILINK input; the SGI-TreadMarks gap is the largest, "
-     "tracking the higher barrier rate.", ""),
+     "tracking the higher barrier rate.", "", ()),
     ("fig3", "sor_large", "Figure 3",
      "TreadMarks above SGI: the 16 MB grid thrashes the SGI L2 and "
      "saturates its bus.",
      "SOR 2000x1000: better speedup on TreadMarks than on the SGI — the SGI "
      "is memory-bandwidth bound on its shared bus, each DECstation has a "
-     "private path to memory, and diffs ship only changed words.", ""),
+     "private path to memory, and diffs ship only changed words.", "",
+     (Claim("fig3-treadmarks-wins-large-sor",
+            "Large SOR: better speedup on TreadMarks than on the SGI",
+            lambda r: exceeds(_top(r, "treadmarks"), _top(r, "sgi"))),)),
     ("fig4", "sor_small", "Figure 4",
      "TreadMarks competitive with SGI even when the band fits the SGI L2 "
      "at 8 processors.",
@@ -373,35 +441,46 @@ _EXPERIMENTAL_FIGURES = [
      "With per-processor bands exactly fitting the 1 MB L2, our SGI model "
      "shows mild super-linear speedup (thrashing baseline), so TreadMarks "
      "and the SGI finish closer than the paper's figure; the large-SOR "
-     "case (fig3) shows the paper's full effect."),
+     "case (fig3) shows the paper's full effect.", ()),
     ("fig5", "tsp19", "Figure 5",
      "SGI above TreadMarks (fresher bound prunes better; occasional "
      "super-linear SGI runs).",
      "TSP 19 cities: speedup favours the SGI (about 6.3 vs 4-ish); its "
      "eager coherence propagates the bound sooner, so processors do less "
-     "redundant work.", ""),
+     "redundant work.", "",
+     (Claim("fig5-sgi-leads-tsp",
+            "TSP: the SGI's fresher bound gives it the better speedup",
+            lambda r: exceeds(_top(r, "sgi"), _top(r, "treadmarks"))),)),
     ("fig6", "tsp18", "Figure 6",
      "SGI above TreadMarks; slightly larger gap than the 19-city problem.",
      "TSP 18 cities: same ordering, slightly larger gap (more "
-     "synchronization per unit of computation).", ""),
+     "synchronization per unit of computation).", "", ()),
     ("fig7", "water", "Figure 7",
      "TreadMarks gets essentially no speedup (per-update locks); SGI "
      "scales.",
      "Water: TreadMarks gets essentially no speedup (per-update locks "
      "generate an overwhelming message rate); the SGI scales normally.",
-     ""),
+     "",
+     (Claim("fig7-water-no-speedup-on-dsm",
+            "Water: TreadMarks gets essentially no speedup; the SGI scales",
+            lambda r: min(exceeds(1.0, _top(r, "treadmarks")),
+                          exceeds(_top(r, "sgi"), 3.0))),)),
     ("fig8", "mwater", "Figure 8",
      "TreadMarks recovers real speedup with batched updates; SGI nearly "
      "unchanged vs Water.",
      "M-Water: batching updates restores TreadMarks to real speedup; the "
-     "SGI is virtually unchanged versus Water.", ""),
+     "SGI is virtually unchanged versus Water.", "",
+     (Claim("fig8-mwater-recovers",
+            "M-Water: TreadMarks recovers real speedup vs Water",
+            lambda r: exceeds(_top(r, "treadmarks"), 1.5)),)),
 ]
 
-for _fid, _wl, _ref, _note, _claim, _deviation in _EXPERIMENTAL_FIGURES:
+for (_fid, _wl, _ref, _note, _claim, _deviation,
+     _claims) in _EXPERIMENTAL_FIGURES:
     register(Experiment(
         _fid, f"{_wl} speedup (TreadMarks vs SGI)", _ref, _note, _claim,
         partial(_experimental_plan, _wl),
-        partial(_experimental_assemble, _fid), _deviation))
+        partial(_experimental_assemble, _fid), _deviation, claims=_claims))
 
 
 # ======================================================================
@@ -419,19 +498,42 @@ def _sim_assemble(exp_id: str, scale: Scale, plan: RunPlan,
                   results: Results) -> Report:
     speedups = {name: s.speedups()
                 for name, s in plan.series(results).items()}
-    report = Report(exp_id, f"{plan.specs[0].app.name} on AH / HS / AS")
-    report.lines = fmt.format_speedups(speedups, SIMULATED_PROCS[scale])
-    report.data = {"speedups": speedups}
-    return report
+    return Report(exp_id, f"{plan.specs[0].app.name} on AH / HS / AS",
+                  fmt.format_speedups(speedups, SIMULATED_PROCS[scale]),
+                  {"speedups": speedups})
 
 
-#: (id, workload, paper ref, shape note, paper claim, known deviation).
+def _fig11_shape(report: Report) -> float:
+    """AH peaks at the largest machine, AS at 16 processors or fewer,
+    and HS sits between AS and AH at the largest machine."""
+    ah, as_ = report.data["speedups"]["ah"], report.data["speedups"]["as"]
+    top, hs = max(ah), _top(report, "hs8")
+    return min(exceeds(ah[top], max(s for p, s in ah.items() if p != top)),
+               1 - max((s for p, s in as_.items() if p > 16), default=0) /
+               max(s for p, s in as_.items() if p <= 16),
+               exceeds(hs, as_[top]), exceeds(ah[top], hs))
+
+
+def _hs_node_peak(report: Report) -> float:
+    """HS's speedup at one node's processor count over its best at any
+    other count."""
+    hs = report.data["speedups"]["hs8"]
+    node = HybridMachine().params.procs_per_node
+    return exceeds(hs[node], max(s for p, s in hs.items() if p != node))
+
+
+#: (id, workload, paper ref, shape note, paper claim, known deviation,
+#: claims).
 _SIM_FIGURES = [
     ("fig9", "sor_sim", "Figure 9",
      "AH and HS near-linear, AS sub-linear (nearest-neighbour sharing "
      "suits the hierarchy).",
      "Simulated SOR: linear-ish speedup on AH and HS; AS is sub-linear due "
-     "to communication cost.", ""),
+     "to communication cost.", "",
+     (Claim("fig9-as-scales-worst-for-sor",
+            "Simulated SOR: AH and HS clearly above AS at the largest size",
+            lambda r: exceeds(min(_top(r, "ah"), _top(r, "hs8")),
+                              1.5 * _top(r, "as"))),)),
     ("fig10", "tsp19", "Figure 10",
      "AH ~ HS > AS; the gap opens as the compute-to-communication ratio "
      "shrinks with more CPUs.",
@@ -443,7 +545,11 @@ _SIM_FIGURES = [
      "paper's; the ordering AH ≥ HS ≥ AS still holds.  "
      "Branch-and-bound is also inherently instance-sensitive — seed 11 of "
      "our generator reproduces the paper's occasional super-linear "
-     "hardware speedup."),
+     "hardware speedup.",
+     (Claim("fig10-ordering",
+            "Simulated TSP: AH >= HS >= AS at the largest size",
+            lambda r: min(exceeds(_top(r, "ah"), _top(r, "hs8")),
+                          exceeds(_top(r, "hs8"), 0.9 * _top(r, "as")))),)),
     ("fig11", "mwater", "Figure 11",
      "Only AH keeps improving; AS peaks earliest, HS peaks mid-range "
      "(synchronization bound).",
@@ -455,13 +561,21 @@ _SIM_FIGURES = [
      "beyond it.  It stays above AS at every count and below AH from 16 "
      "processors on.  Problem size does not explain the early peak: HS "
      "falls from 7.89 at 8 processors to 3.63 at 64 at bench scale (216 "
-     "molecules), and from 7.91 to 4.76 at paper scale (288 molecules)."),
+     "molecules), and from 7.91 to 4.76 at paper scale (288 molecules).",
+     (Claim("fig11-ah-keeps-improving",
+            "Simulated M-Water: AH improves to the largest machine; AS "
+            "peaks early; HS stays between AS and AH beyond one node",
+            _fig11_shape),
+      Claim("fig11-hs-peaks-at-one-node",
+            "HS's speedup peaks at one node's processor count (the "
+            "deviation's evidence)", _hs_node_peak))),
 ]
 
-for _fid, _wl, _ref, _note, _claim, _deviation in _SIM_FIGURES:
+for _fid, _wl, _ref, _note, _claim, _deviation, _claims in _SIM_FIGURES:
     register(Experiment(
         _fid, f"{_wl} on AH/HS/AS (simulation)", _ref, _note, _claim,
-        partial(_sim_plan, _wl), partial(_sim_assemble, _fid), _deviation))
+        partial(_sim_plan, _wl), partial(_sim_assemble, _fid), _deviation,
+        claims=_claims))
 
 
 # ======================================================================
@@ -496,13 +610,10 @@ def _fig12_assemble(scale: Scale, plan: RunPlan,
             "as_miss": as_c.miss_messages, "as_sync": as_c.sync_messages,
             "hs_miss": hs_c.miss_messages, "hs_sync": hs_c.sync_messages,
         }
-    report = Report("fig12", f"Total messages at {plan.specs[0].nprocs} "
-                             f"processors (HS as % of AS)")
-    report.lines = fmt.format_table(
-        ["program", "AS miss", "AS sync", "HS miss", "HS sync",
-         "HS % of AS"], rows)
-    report.data = data
-    return report
+    return Report("fig12", f"Total messages at {plan.specs[0].nprocs} "
+                           f"processors (HS as % of AS)",
+                  fmt.format_table(["program", "AS miss", "AS sync", "HS miss",
+                                    "HS sync", "HS % of AS"], rows), data)
 
 
 def _fig13_assemble(scale: Scale, plan: RunPlan,
@@ -528,13 +639,11 @@ def _fig13_assemble(scale: Scale, plan: RunPlan,
                        consistency=hs_c.consistency_bytes,
                        header=hs_c.header_bytes),
         }
-    report = Report("fig13", f"Total data (KB) at {plan.specs[0].nprocs} "
-                             f"processors (HS as % of AS)")
-    report.lines = fmt.format_table(
-        ["program", "AS miss", "AS cons", "AS hdr",
-         "HS miss", "HS cons", "HS hdr", "HS % of AS"], rows)
-    report.data = data
-    return report
+    return Report("fig13", f"Total data (KB) at {plan.specs[0].nprocs} "
+                           f"processors (HS as % of AS)",
+                  fmt.format_table(["program", "AS miss", "AS cons", "AS hdr",
+                                    "HS miss", "HS cons", "HS hdr",
+                                    "HS % of AS"], rows), data)
 
 
 register(Experiment(
@@ -548,7 +657,14 @@ register(Experiment(
     deviation="In the TSP row, HS's *synchronization* messages do not "
               "shrink as much as the paper's (our scaled instance makes the "
               "queue token migrate between nodes almost every pop); miss "
-              "messages drop ~10x as expected."))
+              "messages drop ~10x as expected.",
+    claims=(Claim("fig12-hs-message-reduction",
+                  "HS sends a small fraction of AS's messages (SOR ~1/9)",
+                  lambda r: exceeds(
+                      0.25 * (r.data["sor_sim"]["as_miss"] +
+                              r.data["sor_sim"]["as_sync"]),
+                      r.data["sor_sim"]["hs_miss"] +
+                      r.data["sor_sim"]["hs_sync"])),)))
 
 register(Experiment(
     "fig13", "Total data, HS vs AS", "Figure 13",
@@ -556,7 +672,12 @@ register(Experiment(
                "data, notice batching cuts consistency data.",
     paper_claim="HS moves roughly 1/4 (TSP) to 1/8 of AS's data; per-node "
                 "diff coalescing drives the reduction.",
-    plan=_traffic_plan, assemble=_fig13_assemble))
+    plan=_traffic_plan, assemble=_fig13_assemble,
+    claims=(Claim("fig13-hs-data-reduction",
+                  "HS moves a small fraction of AS's data for every workload",
+                  lambda r: min(exceeds(0.5 * sum(v["as"].values()),
+                                        sum(v["hs"].values()))
+                                for v in r.data.values())),)))
 
 
 # ======================================================================
@@ -584,14 +705,27 @@ def _overhead_report(exp_id: str, grid: VariantGrid, scale: Scale,
                   {"speedups": speedups})
 
 
+def _fixed_cost_dominates(report: Report) -> float:
+    """Cutting the fixed cost (2000 -> 100) lifts the top speedup, and
+    then cutting the per-word cost (4 -> 1) adds under half as much."""
+    base, low_fixed, low_both = (_top(report, f"fixed={fixed},word={word}")
+                                 for fixed, word in ((2000, 4), (100, 4),
+                                                     (100, 1)))
+    return min(exceeds(low_fixed, base),
+               (0.5 * (low_fixed - base) - (low_both - low_fixed)) / base)
+
+
 #: (id, title, machine, workload, paper ref, shape note, paper claim,
-#: known deviation).
+#: known deviation, claims).
 _OVERHEAD_FIGURES = [
     ("fig14", "Overhead sweep: AS, SOR", "as", "sor_sim", "Figure 14",
      "Fixed per-message cost dominates SOR on AS; reducing it brings AS "
      "near AH/HS.",
      "SOR on AS: reducing the fixed per-message cost has the largest "
-     "effect; speedup approaches the other architectures.", ""),
+     "effect; speedup approaches the other architectures.", "",
+     (Claim("fig14-fixed-cost-dominates-sor",
+            "SOR/AS: cutting the fixed cost helps; cutting per-word adds "
+            "almost nothing", _fixed_cost_dominates),)),
     ("fig15", "Overhead sweep: AS, M-Water", "as", "mwater", "Figure 15",
      "Fixed and per-word costs matter about equally for M-Water on AS.",
      "M-Water on AS: fixed and per-word costs matter about equally.",
@@ -605,23 +739,24 @@ _OVERHEAD_FIGURES = [
      "the scaled molecule count is not the cause; the remaining candidate "
      "is message size (our run-compressed notices keep messages smaller on "
      "average than the paper's).  The direction of every individual knob "
-     "matches."),
+     "matches.", ()),
     ("fig16", "Overhead sweep: HS, M-Water", "hs", "mwater", "Figure 16",
      "On HS the fixed cost matters more than per-word (diff coalescing "
      "already cut the data volume).",
      "M-Water on HS: the fixed cost matters more than for AS (HS already "
-     "cut data volume more than message count).", ""),
+     "cut data volume more than message count).", "", ()),
 ]
 
-for (_fid, _title, _machine, _wl, _ref, _note, _claim,
-     _deviation) in _OVERHEAD_FIGURES:
+for (_fid, _title, _machine, _wl, _ref, _note, _claim, _deviation,
+     _claims) in _OVERHEAD_FIGURES:
     # One curve per preset; the AS presets differ only in messaging
     # overheads, so their shared 1-processor baseline runs once.
     register(Experiment(
         _fid, _title, _ref, _note, _claim, deviation=_deviation,
         grid=VariantGrid((_machine,), (_wl,), SIMULATED_PROCS,
                          tuple(preset.value for preset in OVERHEAD_SWEEP),
-                         OVERHEAD, partial(_overhead_report, _fid))))
+                         OVERHEAD, partial(_overhead_report, _fid)),
+        claims=_claims))
 
 
 # ======================================================================
@@ -647,12 +782,10 @@ def _x1_assemble(scale: Scale, plan: RunPlan, results: Results) -> Report:
             "parallel_expansions", 0)
         rows.append([name, speedup, expansions])
         data[name] = {"speedup": speedup, "expansions": expansions}
-    report = Report("x1", "TSP: lazy vs eager release vs SGI "
-                          "(8 processors)")
-    report.lines = fmt.format_table(
-        ["machine", "speedup@8", "expansions"], rows)
-    report.data = data
-    return report
+    return Report("x1", "TSP: lazy vs eager release vs SGI "
+                        "(8 processors)",
+                  fmt.format_table(["machine", "speedup@8", "expansions"],
+                                   rows), data)
 
 
 def _x2_plan(scale: Scale) -> RunPlan:
@@ -672,13 +805,12 @@ def _x2_assemble(scale: Scale, plan: RunPlan, results: Results) -> Report:
     data: Dict[str, Dict[str, float]] = {}
     for (workload, kind), series in plan.series(results).items():
         data.setdefault(workload, {})[kind] = series.speedups()[p]
-    report = Report("x2", "User-level vs kernel-level TreadMarks "
-                          "(speedup at 8 processors)")
-    report.lines = fmt.format_table(
-        ["program", "user-level", "kernel-level", "SGI"],
-        [[workload, *row.values()] for workload, row in data.items()])
-    report.data = data
-    return report
+    return Report("x2", "User-level vs kernel-level TreadMarks "
+                        "(speedup at 8 processors)",
+                  fmt.format_table(
+                      ["program", "user-level", "kernel-level", "SGI"],
+                      [[workload, *row.values()]
+                       for workload, row in data.items()]), data)
 
 
 _X3_WORKLOADS = ("sor_large", "sor_alldirty")
@@ -707,12 +839,10 @@ def _x3_assemble(scale: Scale, plan: RunPlan, results: Results) -> Report:
         data[workload] = {"tm": tm.speedups()[p],
                           "sgi": sgi.speedups()[p],
                           "tm_kbytes": tm_top.counters.total_bytes / 1024}
-    report = Report("x3", "SOR data-movement control experiment "
-                          "(8 processors)")
-    report.lines = fmt.format_table(
-        ["program", "TreadMarks sp", "SGI sp", "TM total KB"], rows)
-    report.data = data
-    return report
+    return Report("x3", "SOR data-movement control experiment "
+                        "(8 processors)",
+                  fmt.format_table(["program", "TreadMarks sp", "SGI sp",
+                                    "TM total KB"], rows), data)
 
 
 def _x4_plan(scale: Scale) -> RunPlan:
@@ -734,13 +864,10 @@ def _x4_assemble(scale: Scale, plan: RunPlan, results: Results) -> Report:
         barrier_ms = 1e3 * results[barrier_index].seconds
         rows.append([label, lock_ms, barrier_ms])
         data[label] = {"lock_ms": lock_ms, "barrier_ms": barrier_ms}
-    report = Report("x4", "Remote lock and 8-processor barrier times "
-                          "(milliseconds)")
-    report.lines = fmt.format_table(
-        ["implementation", "remote lock (ms)", "8-proc barrier (ms)"],
-        rows)
-    report.data = data
-    return report
+    return Report("x4", "Remote lock and 8-processor barrier times "
+                        "(milliseconds)",
+                  fmt.format_table(["implementation", "remote lock (ms)",
+                                    "8-proc barrier (ms)"], rows), data)
 
 
 register(Experiment(
@@ -750,7 +877,14 @@ register(Experiment(
     paper_claim="Replacing the bound lock's lazy release with an eager "
                 "release improves TSP's 8-processor speedup most of the way "
                 "to the SGI's.",
-    plan=_x1_plan, assemble=_x1_assemble))
+    plan=_x1_plan, assemble=_x1_assemble,
+    claims=(Claim(
+        "x1-eager-recovers-tsp",
+        "Eager release moves TSP's speedup toward the SGI's",
+        lambda r: min(exceeds(r.data["treadmarks-eager"]["speedup"],
+                              r.data["treadmarks"]["speedup"]),
+                      exceeds(1.15 * r.data["sgi"]["speedup"],
+                              r.data["treadmarks-eager"]["speedup"]))),)))
 
 register(Experiment(
     "x2", "Kernel-level TreadMarks", "§2.4.4",
@@ -758,7 +892,13 @@ register(Experiment(
                "apps (ILINK, SOR) barely change.",
     paper_claim="Kernel-level TreadMarks halves lock/barrier times; ILINK, "
                 "SOR and TSP barely change, M-Water improves sharply.",
-    plan=_x2_plan, assemble=_x2_assemble))
+    plan=_x2_plan, assemble=_x2_assemble,
+    claims=(Claim("x2-kernel-helps-mwater-most",
+                  "Kernel-level TreadMarks helps M-Water far more than ILINK",
+                  lambda r: exceeds(
+                      r.data["mwater"]["kernel"] / r.data["mwater"]["user"],
+                      r.data["ilink_clp"]["kernel"] /
+                      r.data["ilink_clp"]["user"])),)))
 
 register(Experiment(
     "x3", "SOR with every point changing", "§2.3/§2.4.2",
@@ -766,7 +906,11 @@ register(Experiment(
                "than with the zero interior, but still beats the SGI.",
     paper_claim="Initializing SOR so every point changes equalizes data "
                 "movement; TreadMarks still achieves the better speedup.",
-    plan=_x3_plan, assemble=_x3_assemble))
+    plan=_x3_plan, assemble=_x3_assemble,
+    claims=(Claim("x3-treadmarks-wins-even-alldirty",
+                  "SOR still favours TreadMarks when every point changes",
+                  lambda r: exceeds(r.data["sor_alldirty"]["tm"],
+                                    r.data["sor_alldirty"]["sgi"])),)))
 
 register(Experiment(
     "x4", "Synchronization micro-costs", "§2.2 / §2.4.4",
@@ -776,7 +920,19 @@ register(Experiment(
                 "millisecond and an 8-processor barrier about two; moving "
                 "TreadMarks into the kernel roughly halves both (§2.2, "
                 "§2.4.4).",
-    plan=_x4_plan, assemble=_x4_assemble))
+    plan=_x4_plan, assemble=_x4_assemble,
+    claims=(
+        Claim("x4-kernel-halves-sync-costs",
+              "Kernel-level TreadMarks roughly halves lock and barrier times",
+              lambda r: min(_within(r.data["kernel-level"][cost] /
+                                    r.data["user-level"][cost], 0.3, 0.7)
+                            for cost in ("lock_ms", "barrier_ms"))),
+        Claim("x4-sync-magnitudes",
+              "User-level remote lock is sub-millisecond; an 8-processor "
+              "barrier is a couple of milliseconds",
+              lambda r: min(
+                  _within(r.data["user-level"]["lock_ms"], 0.3, 1.5),
+                  _within(r.data["user-level"]["barrier_ms"], 1.0, 4.0))))))
 
 
 # ======================================================================
@@ -803,12 +959,10 @@ def _a1_assemble(scale: Scale, plan: RunPlan, results: Results) -> Report:
             "speedup": s.speedups()[8],
             "bytes": p8.counters.total_bytes,
         }
-    report = Report("a1", "Diff-based vs whole-page data movement "
-                          "(8 processors)")
-    report.lines = fmt.format_table(
-        ["program", "machine", "speedup@8", "total KB"], rows)
-    report.data = data
-    return report
+    return Report("a1", "Diff-based vs whole-page data movement "
+                        "(8 processors)",
+                  fmt.format_table(["program", "machine", "speedup@8",
+                                    "total KB"], rows), data)
 
 
 _A2_WORKLOADS = ("tsp19", "mwater", "sor_small")
@@ -836,12 +990,9 @@ def _a2_assemble(scale: Scale, plan: RunPlan, results: Results) -> Report:
             "eager_msgs": eager.at(8).counters.total_messages,
         }
         rows.append([workload, *data[workload].values()])
-    report = Report("a2", "Lazy vs eager release (8 processors)")
-    report.lines = fmt.format_table(
-        ["program", "lazy sp", "eager sp", "lazy msgs", "eager msgs"],
-        rows)
-    report.data = data
-    return report
+    return Report("a2", "Lazy vs eager release (8 processors)",
+                  fmt.format_table(["program", "lazy sp", "eager sp",
+                                    "lazy msgs", "eager msgs"], rows), data)
 
 
 def _a3_plan(scale: Scale) -> RunPlan:
@@ -868,11 +1019,9 @@ def _a3_assemble(scale: Scale, plan: RunPlan, results: Results) -> Report:
             "speedup": s.speedups()[procs],
             "messages": r.counters.total_messages,
         }
-    report = Report("a3", f"HS node-size sweep at {procs} processors")
-    report.lines = fmt.format_table(
-        ["program", "procs/node", "speedup", "messages"], rows)
-    report.data = data
-    return report
+    return Report("a3", f"HS node-size sweep at {procs} processors",
+                  fmt.format_table(["program", "procs/node", "speedup",
+                                    "messages"], rows), data)
 
 
 register(Experiment(
@@ -881,7 +1030,13 @@ register(Experiment(
                "fine-grain-write applications.",
     paper_claim="(Repo ablation — no paper counterpart.) Diffs vs whole-page "
                 "transfer on the fault path.",
-    plan=_a1_plan, assemble=_a1_assemble))
+    plan=_a1_plan, assemble=_a1_assemble,
+    claims=(Claim("a1-diffs-cut-data",
+                  "Whole-page transfer moves at least 2x the diffed data",
+                  lambda r: min(
+                      exceeds(r.data[f"{wl}|diffs=False"]["bytes"],
+                              2 * r.data[f"{wl}|diffs=True"]["bytes"])
+                      for wl in ("sor_small", "mwater"))),)))
 
 register(Experiment(
     "a2", "Lazy vs eager release across applications", "DESIGN.md §2",
@@ -889,7 +1044,13 @@ register(Experiment(
                "and hurts high-lock-rate applications (more messages).",
     paper_claim="(Repo ablation.) Lazy vs eager release across programs: "
                 "eager trades extra messages for freshness.",
-    plan=_a2_plan, assemble=_a2_assemble))
+    plan=_a2_plan, assemble=_a2_assemble,
+    claims=(Claim("a2-eager-tradeoff",
+                  "Eager release helps TSP but sends more M-Water messages",
+                  lambda r: min(exceeds(r.data["tsp19"]["eager"],
+                                        r.data["tsp19"]["lazy"]),
+                                exceeds(r.data["mwater"]["eager_msgs"],
+                                        r.data["mwater"]["lazy_msgs"]))),)))
 
 register(Experiment(
     "a3", "HS node-size sweep", "DESIGN.md §2",
@@ -905,7 +1066,7 @@ def run_experiment(exp_id: str, scale: Scale = Scale.BENCH,
     """Run one experiment by id at the given scale, on its grid with
     ``axes`` replaced when any are given."""
     exp = get_experiment(exp_id)
-    return (exp.over(**axes) if axes else exp).run(scale)
+    return (exp.over(scale, **axes) if axes else exp).run(scale)
 
 
 def list_experiments() -> List[Experiment]:

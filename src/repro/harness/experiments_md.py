@@ -7,11 +7,14 @@ expected shape and any known deviation, called out inline.  The file
 opens with a mapping table (paper artifact -> experiment id ->
 machines -> workloads -> runs -> validate checks): the machines,
 workloads and unique-run count are read off each experiment's
-bench-scale plan, the checks off :data:`repro.harness.validate.CHECKS`.
+bench-scale plan, the checks off the claims each registry entry
+declares (``Experiment.claims``, in :mod:`repro.harness.experiments`
+or :mod:`repro.harness.sweeps`).
 
 EXPERIMENTS.md is generated — edit the registry
-(:mod:`repro.harness.experiments`), re-run the benchmark suite if
-results changed, then regenerate with::
+(:mod:`repro.harness.experiments`, and :mod:`repro.harness.sweeps` for
+the sweeps), re-run the benchmark suite if results changed, then
+regenerate with::
 
     PYTHONPATH=src python -m repro.harness.experiments_md [results_dir] [output_md]
 
@@ -22,11 +25,10 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.harness.experiments import (Experiment, Report, Scale,
                                        get_experiment, list_experiments)
-from repro.harness.validate import CHECKS
 
 
 def write_archive(results_dir: str, exp_id: str, report: Report) -> str:
@@ -63,14 +65,15 @@ calibrated stand-in (DESIGN.md) — so each entry records the paper's *claim*
 and the measured *shape*.  Known deviations are called out inline.
 
 This file is generated — edit the registry in
-`src/repro/harness/experiments.py` and regenerate with
+`src/repro/harness/experiments.py` (the sweeps in
+`src/repro/harness/sweeps.py`) and regenerate with
 `PYTHONPATH=src python -m repro.harness.experiments_md`.
 
 ## Figure-to-experiment map
 
 Run any row with `repro-harness run <exp id>`; the checks column names
-the PASS/FAIL claims `repro-harness validate` evaluates for that
-experiment (defined in `repro.harness.validate`).
+the claims `repro-harness validate` evaluates for that experiment, each
+to a signed margin, as its registry entry declares them.
 
 | paper artifact | exp id | machines | workloads | runs | claimed shape \
 | validate checks |
@@ -108,15 +111,11 @@ armed run finishes in exactly the same simulated cycle as an unarmed one
 
 
 def _map_rows() -> list:
-    """One map row per experiment: artifact, id, plan columns, checks."""
-    checks_by_exp: Dict[str, list] = {}
-    for check in CHECKS:
-        checks_by_exp.setdefault(check.exp_id, []).append(check.name)
+    """One map row per experiment: artifact, id, plan columns, claims."""
     rows = []
     for exp in list_experiments():
         machines, workloads, runs = _plan_columns(exp)
-        checks = ", ".join(
-            f"`{name}`" for name in checks_by_exp.get(exp.exp_id, []))
+        checks = ", ".join(f"`{claim.name}`" for claim in exp.claims)
         rows.append(
             f"| {exp.paper_ref} | `{exp.exp_id}` | {machines} "
             f"| {workloads} | {runs} | {exp.shape_note} "

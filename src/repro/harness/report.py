@@ -16,10 +16,10 @@ ledger shows exactly which numbers were simulated afresh versus
 served (``path="miss"``/``"hit"``), by which code version, on which
 host.
 
-Claims *about* the simulated numbers are stated and gated by
-``repro-harness validate`` (:mod:`repro.harness.validate`); host
-wall-clock time is measured by ``benchmarks/e2e``.  Neither is this
-module's business.
+Claims *about* the simulated numbers are declared on their registry
+entries (``Experiment.claims``) and gated by ``repro-harness
+validate``; host wall-clock time is measured by ``benchmarks/e2e``.
+Neither is this module's business.
 
 ``--write`` regenerates the committed goldens in place (the sanctioned
 way to bless an intended behaviour change).

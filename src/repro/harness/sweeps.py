@@ -5,24 +5,28 @@ artifacts: ``fault-sweep``, ``failure-sweep``, ``sync-sweep`` and
 Each sweep is one :class:`~repro.harness.experiments.VariantGrid`
 (its machines, workloads, processor counts and the labels of the
 variant it sweeps) plus what is its own: the report table, the
-summary or ranking read off the cells, and the claims.  An override
-(the CLI's ``--axis``) is a new grid made by
+summary or ranking read off the cells, and the claims
+(:class:`~repro.harness.experiments.Claim`) with their helpers.  An
+override (the CLI's ``--axis``) is a new grid made by
 :meth:`~repro.harness.experiments.Experiment.over`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.ablate import (MECHANISMS, AblationSpec, importance_score,
                           metric_deltas, parse_ablation, run_metrics)
 from repro.harness import fmt
-from repro.harness.experiments import (Axis, Experiment, Report, Results,
-                                       VariantGrid, register)
+from repro.errors import ConfigurationError
+from repro.harness.experiments import (Axis, Claim, Experiment, Report,
+                                       Results, VariantGrid, exceeds, register)
 from repro.harness.parallel import RunPlan, execute_plan
 from repro.harness.workloads import EXPERIMENTAL_PROCS, SIMULATED_PROCS, Scale
 from repro.machines import make_machine
-from repro.net.faults import CrashEvent, FaultPlan, parse_crashes
+from repro.machines.base import Machine
+from repro.net.faults import (CrashEvent, FaultInjector, FaultPlan,
+                              parse_crashes)
 from repro.sync import (BARRIER_ALGORITHMS, LOCK_ALGORITHMS, SyncPolicy,
                         parse_sync)
 
@@ -128,6 +132,36 @@ def _crash_label(crash: Any) -> str:
 CRASH = Axis(_crash, _crash_label, lambda _crash: {})
 
 
+def _dsm_nodes(name: str, machine: Machine, procs: int) -> int:
+    """The DSM nodes of ``machine`` at ``procs`` processors: crash
+    targets are nodes, and an HS node holds several processors."""
+    return procs // machine.params.procs_per_node if name == "hs" else procs
+
+
+class CrashGrid(VariantGrid):
+    """The failure sweep's grid.  Its plan also checks each explicit
+    ``crash@node<N>`` value against every swept machine's DSM nodes at
+    the scale, so a bad one fails before anything runs."""
+
+    def plan(self, scale: Scale) -> RunPlan:
+        """The clean runs of :meth:`VariantGrid.plan`, once every
+        explicit crash schedule fits every machine."""
+        procs = max(self.counts(scale))
+        for name in self.machines:
+            nodes = _dsm_nodes(name, self.machine(name), procs)
+            for value in self.values:
+                crashes = _crash(value)
+                if nodes < 2 or not isinstance(crashes, tuple):
+                    continue          # no crashed cell, or placed later
+                try:
+                    FaultInjector(FaultPlan(crashes=crashes), nodes)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(
+                        f"failure-sweep at {scale.value} scale on {name}: "
+                        f"{exc}") from None
+        return super().plan(scale)
+
+
 def _failure_report(grid: VariantGrid, scale: Scale, clean_plan: RunPlan,
                     clean_results: Results) -> Report:
     procs = max(grid.counts(scale))
@@ -142,9 +176,7 @@ def _failure_report(grid: VariantGrid, scale: Scale, clean_plan: RunPlan,
             clean_plan.layout.items():
         clean = clean_results[clean_index]
         spec = clean_plan.specs[clean_index]
-        num_nodes = procs             # crash targets are DSM *nodes*
-        if name == "hs":
-            num_nodes = procs // spec.machine.params.procs_per_node
+        num_nodes = _dsm_nodes(name, spec.machine, procs)
         if num_nodes < 2:
             continue                  # no survivor would remain
         crashes = _crash(value)
@@ -190,6 +222,28 @@ def _failure_report(grid: VariantGrid, scale: Scale, clean_plan: RunPlan,
                        "lost", "locks", "barriers"], rows), data)
 
 
+def _every_crash_cell(report: Report,
+                      margin: Callable[[dict], float]) -> float:
+    """The least ``margin(cell)`` over the crashed cells; no cells is a
+    FAIL."""
+    return min((margin(cell) for machines in report.data.values()
+                for tags in machines.values() for cell in tags.values()),
+               default=-1.0)
+
+
+def _detection_margin(cell: dict) -> float:
+    """The margin of 0 < latency <= backstop for the cell's worst
+    crash, as a fraction of the backstop (``detect_cycles`` + 1000
+    cycles of event slack); a crash never declared has no latency."""
+    degraded = cell["degraded"]
+    backstop = cell["detect_cycles"] + 1000
+    latencies = [detected - crashed for detected, crashed in
+                 zip(degraded.get("detected_at", ()),
+                     degraded.get("crashed_at", ()))]
+    return min((min(latency, backstop - latency) / backstop
+                for latency in latencies), default=-1.0)
+
+
 # Phase 1 is the grid: the clean cells coincide (fingerprints and all)
 # with fig9/fig10 points, so a warm cache serves them.  The machines
 # are the two software-DSM simulated architectures (the hardware ones
@@ -222,9 +276,24 @@ register(Experiment(
               "that is true at both: every degraded cell still beats one "
               "processor (minimum speedup 2.30 at bench scale, 1.26 at test "
               "scale).",
-    grid=VariantGrid(("as", "hs"), ("sor_sim", "tsp19"), SIMULATED_PROCS,
-                     ("0.25", "0.5"), CRASH, _failure_report,
-                     baseline="off", base_procs=1)))
+    grid=CrashGrid(("as", "hs"), ("sor_sim", "tsp19"), SIMULATED_PROCS,
+                   ("0.25", "0.5"), CRASH, _failure_report,
+                   baseline="off", base_procs=1),
+    claims=(
+        Claim("failure-every-crash-completes",
+              "Every crashed cell declares its failure and completes "
+              "degraded",
+              lambda r: _every_crash_cell(r, lambda cell: float(
+                  len(cell["degraded"].get("failed_nodes", ()))))),
+        Claim("failure-detection-bounded",
+              "Every crash is detected after it happens and within the "
+              "keepalive backstop (detect_cycles + 1000 cycles of event "
+              "slack)",
+              lambda r: _every_crash_cell(r, _detection_margin)),
+        Claim("failure-degraded-beats-one-proc",
+              "Every degraded cell still beats one processor",
+              lambda r: _every_crash_cell(
+                  r, lambda cell: exceeds(cell["speedup"], 1.0))))))
 
 
 # ======================================================================
@@ -290,6 +359,19 @@ def _sync_report(grid: VariantGrid, scale: Scale, plan: RunPlan,
                   {"cells": data, "summary": summary, "top_procs": top})
 
 
+def _best_software_gain(report: Report) -> float:
+    """Best policy speedup over token+central, across AS/HS cells."""
+    return max(s["gain"] for s in report.data["summary"].values())
+
+
+def _ah_policy_spread(report: Report) -> float:
+    """Worst best/worst policy speedup ratio on AH at the top size."""
+    top = str(report.data["top_procs"])
+    per_workload = [[c["speedups"][top] for c in machines["ah"].values()]
+                    for machines in report.data["cells"].values()]
+    return max(max(s) / min(s) for s in per_workload)
+
+
 # One curve per (machine, workload, policy).  The 1-processor bases
 # dedup across policies: a software machine's uniprocessor fingerprint
 # hides everything non-local, including the sync policy.  The
@@ -328,7 +410,17 @@ register(Experiment(
                      SIMULATED_PROCS,
                      tuple(f"{lock}+{barrier}" for lock in LOCK_ALGORITHMS
                            for barrier in BARRIER_ALGORITHMS),
-                     SYNC, _sync_report)))
+                     SYNC, _sync_report),
+    claims=(
+        Claim("sync-best-policy-lifts-software",
+              "Some lock x barrier policy beats token+central by >2% on a "
+              "software machine",
+              lambda r: exceeds(_best_software_gain(r), 1.02)),
+        Claim("sync-ah-flatter-than-software",
+              "AH's best/worst policy spread stays below the best software "
+              "gain: hardware sync was never the bottleneck",
+              lambda r: exceeds(_best_software_gain(r),
+                                _ah_policy_spread(r))))))
 
 
 # ======================================================================
@@ -431,6 +523,14 @@ def _ablation_report(grid: VariantGrid, scale: Scale, plan: RunPlan,
                    "grids": list(grids), "mechanisms": list(mechanisms)})
 
 
+def _weakest_mechanism(report: Report) -> float:
+    """The lowest peak leave-one-out score of any swept mechanism; one
+    the ranking lacks scores 0."""
+    scores = {e["mechanism"]: e["score"] for e in report.data["ranking"]}
+    return min((scores.get(mechanism, 0.0) for mechanism in
+                {*scores, *report.data["mechanisms"]}), default=-1.0)
+
+
 # Each (machine, workload) gets a full-protocol baseline and one
 # ablated cell per swept spec against it.  The machines are the two
 # software-DSM simulated architectures (the hardware ones have none of
@@ -463,4 +563,16 @@ register(Experiment(
                 "baseline.",
     grid=VariantGrid(("as", "hs"), ("sor_sim", "tsp19", "mwater"),
                      SIMULATED_PROCS, tuple(f"no-{m}" for m in MECHANISMS),
-                     ABLATE, _ablation_report, baseline="full")))
+                     ABLATE, _ablation_report, baseline="full"),
+    claims=(
+        Claim("ablation-diffs-cut-mwater-bytes",
+              "Without diffs M-Water moves >1.3x the bytes on some software "
+              "machine",
+              lambda r: exceeds(max(
+                  cell["loo"]["diffs"]["ablated"]["bytes"] /
+                  cell["loo"]["diffs"]["full"]["bytes"]
+                  for key, cell in r.data["cells"].items()
+                  if key.endswith("/mwater")), 1.3)),
+        Claim("ablation-no-dead-mechanism",
+              "Every swept mechanism scores nonzero leave-one-out "
+              "importance on some cell", _weakest_mechanism))))

@@ -312,7 +312,8 @@ def parse_schedule(spec: str) -> Tuple[FaultRule, ...]:
         if chunk.startswith("crash@"):
             raise ConfigurationError(
                 f"crash events are not schedule rules: pass {chunk!r} "
-                f"via --crash / parse_crashes, not the fault schedule")
+                f"to failure-sweep as --axis values={chunk}, or to "
+                f"parse_crashes, not the fault schedule")
         parts = [p.strip() for p in chunk.split(":")]
         action, kind = parts[0], None
         filters: Dict[str, int] = {}

@@ -161,7 +161,7 @@ def test_grid_override_is_an_explicit_replacement():
     """``over`` returns a new experiment on a new grid; the registry
     entry and every axis not named keep their declared values."""
     sync = get_experiment("sync-sweep")
-    narrowed = sync.over(values=("mcs",), machines=("as",))
+    narrowed = sync.over(Scale.TEST, values=("mcs",), machines=("as",))
     assert narrowed.grid.values == ("mcs+central",)
     assert narrowed.grid.machines == ("as",)
     assert narrowed.grid.workloads == sync.grid.workloads
@@ -172,15 +172,22 @@ def test_grid_override_is_an_explicit_replacement():
 
 def test_grid_override_validates_names_and_values():
     with pytest.raises(ConfigurationError, match="no variant grid"):
-        get_experiment("fig3").over(values=("x",))
+        get_experiment("fig3").over(Scale.TEST, values=("x",))
     with pytest.raises(ConfigurationError, match="bad axis"):
-        get_experiment("sync-sweep").over(locks=("mcs",))
+        get_experiment("sync-sweep").over(Scale.TEST, locks=("mcs",))
     with pytest.raises(ConfigurationError, match="unknown ablation"):
-        get_experiment("ablation-sweep").over(values=("no-telepathy",))
+        get_experiment("ablation-sweep").over(
+            Scale.TEST, values=("no-telepathy",))
     with pytest.raises(ConfigurationError, match="bad axis value"):
-        get_experiment("fault-sweep").over(values=("lots",))
+        get_experiment("fault-sweep").over(Scale.TEST, values=("lots",))
     with pytest.raises(ConfigurationError, match="unknown machine"):
-        get_experiment("fault-sweep").over(machines=("vax",))
+        get_experiment("fault-sweep").over(Scale.TEST, machines=("vax",))
+    # A crash target is a DSM node, and HS has 2 of them at test scale
+    # (16 processors) but 8 at bench (64): the run's scale decides.
+    crash = dict(values=("crash@node3:t=500000",))
+    with pytest.raises(ConfigurationError, match="outside the 2-node"):
+        get_experiment("failure-sweep").over(Scale.TEST, **crash)
+    get_experiment("failure-sweep").over(Scale.BENCH, **crash)
 
 
 class _Planned(Exception):
@@ -240,13 +247,17 @@ def test_cli_bad_sweep_value_is_a_usage_error_before_any_session(
              "unknown ablation mechanism"),
             (["failure-sweep", "--axis", "values=crash@nodeX:t=5"],
              "integer node"),
+            (["failure-sweep", "--axis", "values=crash@node3:t=500000"],
+             "crash node 3 outside the 2-node machine"),
             (["fault-sweep", "--axis", "values=lots"], "bad axis value"),
             (["fault-sweep", "sync-sweep", "--axis", "values=0.1"],
              "one experiment")]:
         cache_dir = tmp_path / "cache"
         assert main(["run", *argv, "--scale", "test",
                      "--cache-dir", str(cache_dir)]) == 2, argv
-        assert message in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, argv
+        assert len(err.splitlines()) == 1, argv
         assert not cache_dir.exists()  # neither cache nor ledger opened
 
 

@@ -1,73 +1,99 @@
-"""The executable shape-claim checks."""
+"""The claims each registry entry declares, and ``repro-harness validate``."""
 
 import copy
+import math
 
 import pytest
 
-from repro.harness.experiments import REGISTRY, Report, Scale
-from repro.harness.validate import (CHECKS, ShapeCheck, format_results,
-                                    run_validation)
+from repro.harness import experiments
+from repro.harness.cli import main
+from repro.harness.experiments import (Claim, Experiment, Report,
+                                       list_experiments)
+from repro.harness.parallel import RunPlan
+
+#: claim name -> (experiment id, claim), over the whole registry.
+CLAIMS = {claim.name: (exp.exp_id, claim)
+          for exp in list_experiments() for claim in exp.claims}
+
+#: The claims that fail at ``Scale.TEST``: they are calibrated for the
+#: bench-scale problems, where all of them hold.
+FAILING_AT_TEST_SCALE = {
+    "t1-sgi-slower-on-big-sor", "t2-water-syncs-most",
+    "fig3-treadmarks-wins-large-sor", "fig8-mwater-recovers",
+    "x3-treadmarks-wins-even-alldirty"}
 
 
 def test_every_check_references_known_experiment():
-    for check in CHECKS:
-        assert check.exp_id in REGISTRY, check.name
+    """Each claim is declared on the entry its name starts with."""
+    for name, (exp_id, _claim) in CLAIMS.items():
+        assert name.split("-")[0] == exp_id.split("-")[0], name
 
 
 def test_check_names_unique():
-    names = [c.name for c in CHECKS]
-    assert len(names) == len(set(names))
+    names = [claim.name for exp in list_experiments()
+             for claim in exp.claims]
+    assert len(names) == len(set(names)) == len(CLAIMS) == 30
 
 
-def test_format_results():
-    checks = [ShapeCheck("demo", "t1", "demo claim", lambda r: True)]
-    lines = format_results([(checks[0], True), (checks[0], False)])
-    assert lines[0].startswith("[PASS]")
-    assert lines[1].startswith("[FAIL]")
-    assert lines[-1] == "1/2 shape claims hold"
+# ----------------------------------------------------------------------
+# `validate` over a fake registry
+# ----------------------------------------------------------------------
+def _fake(exp_id, *margins, runs=None):
+    """An entry whose report is empty and whose claims score
+    ``margins``; ``runs`` counts its plans."""
+    def plan(scale):
+        if runs is not None:
+            runs.append(exp_id)
+        return RunPlan()
+
+    return Experiment(
+        exp_id, "fake", "ref", "note", "claim", plan=plan,
+        assemble=lambda scale, plan, results: Report(exp_id, "fake"),
+        claims=tuple(Claim(f"{exp_id}-{i}", f"claim {i}",
+                           lambda report, m=m: m)
+                     for i, m in enumerate(margins)))
 
 
-def test_failing_claim_prints_the_command_that_shows_its_table():
-    check = ShapeCheck("demo", "sync-sweep", "demo claim", lambda r: True)
-    passing = format_results([(check, True)], Scale.TEST)
-    failing = format_results([(check, False)], Scale.TEST)
+def _validate(monkeypatch, capsys, *entries):
+    monkeypatch.setattr(experiments, "REGISTRY",
+                        {exp.exp_id: exp for exp in entries})
+    code = main(["validate", "--scale", "test", "--no-cache",
+                 "--no-ledger", "--quiet"])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_format_results(monkeypatch, capsys):
+    """One line per claim with its signed margin, then the tally."""
+    _code, lines = _validate(monkeypatch, capsys, _fake("t1", 0.25, -0.5))
+    assert lines[0].startswith("[PASS] t1-0 ")
+    assert " +0.250 (t1) claim 0" in lines[0]
+    assert lines[1].startswith("[FAIL] t1-1 ")
+    assert " -0.500 (t1) claim 1" in lines[1]
+    assert "1/2 claims hold" in lines
+
+
+def test_failing_claim_prints_the_command_that_shows_its_table(
+        monkeypatch, capsys):
     command = "repro-harness run sync-sweep --scale test"
+    _code, passing = _validate(monkeypatch, capsys, _fake("sync-sweep", 1.0))
     assert not any(command in line for line in passing)
+    # A zero margin is no margin: the claim fails.
+    _code, failing = _validate(monkeypatch, capsys, _fake("sync-sweep", 0.0))
     assert command in failing[1]
 
 
-def test_run_validation_shares_experiment_runs(monkeypatch):
-    calls = []
-
-    def fake_run(exp_id, scale):
-        calls.append(exp_id)
-        return Report(exp_id, "t", data={"x": 1})
-
-    monkeypatch.setattr("repro.harness.validate.run_experiment",
-                        fake_run)
-    checks = [
-        ShapeCheck("a", "t1", "c", lambda r: r.data["x"] == 1),
-        ShapeCheck("b", "t1", "c", lambda r: True),
-        ShapeCheck("c", "t2", "c", lambda r: False),
-    ]
-    results = run_validation(Scale.TEST, checks)
-    assert calls == ["t1", "t2"]          # t1 ran once, shared
-    assert [ok for _c, ok in results] == [True, True, False]
+def test_run_validation_shares_experiment_runs(monkeypatch, capsys):
+    runs = []
+    _validate(monkeypatch, capsys, _fake("t1", 1.0, 2.0, runs=runs),
+              _fake("t2", 1.0, runs=runs), _fake("fig1", runs=runs))
+    assert runs == ["t1", "t2"]     # once each; no claims, no run
 
 
 def test_cli_validate_exits_nonzero_on_any_failed_claim(monkeypatch,
                                                         capsys):
-    from repro.harness.cli import main
-    monkeypatch.setattr("repro.harness.validate.run_experiment",
-                        lambda exp_id, scale: Report(exp_id, "t"))
-    holds = ShapeCheck("holds", "t1", "c", lambda r: True)
-    fails = ShapeCheck("fails", "t2", "c", lambda r: False)
-    argv = ["validate", "--scale", "test", "--no-cache", "--no-ledger"]
-    monkeypatch.setattr("repro.harness.validate.CHECKS", [holds, holds])
-    assert main(argv) == 0
-    monkeypatch.setattr("repro.harness.validate.CHECKS", [holds, fails])
-    assert main(argv) == 1
-    assert "repro-harness run t2 --scale test" in capsys.readouterr().out
+    assert _validate(monkeypatch, capsys, _fake("t1", 1.0, 0.5))[0] == 0
+    assert _validate(monkeypatch, capsys, _fake("t1", 1.0),
+                     _fake("t2", -1.0))[0] == 1
 
 
 # ----------------------------------------------------------------------
@@ -151,21 +177,34 @@ SWEEP_CLAIM_CASES = {
 
 
 def test_every_sweep_claim_has_a_failing_case():
-    sweep_claims = {c.name for c in CHECKS if c.exp_id.endswith("-sweep")}
+    sweep_claims = {name for name, (exp_id, _c) in CLAIMS.items()
+                    if exp_id.endswith("-sweep")}
     assert sweep_claims == set(SWEEP_CLAIM_CASES)
 
 
 @pytest.mark.parametrize("name", SWEEP_CLAIM_CASES)
 def test_sweep_claim_holds_and_fails(name):
-    (check,) = [c for c in CHECKS if c.name == name]
+    _exp_id, claim = CLAIMS[name]
     holds, fails = SWEEP_CLAIM_CASES[name]
-    assert check.evaluate(holds) is True
+    assert claim.margin(holds) > 0
     for report in fails:
-        assert check.evaluate(report) is False
+        assert claim.margin(report) <= 0
 
 
-@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.name)
-def test_predicates_do_not_crash_on_real_reports(check, registry_runs):
-    """Every predicate must evaluate (True or False) on real data."""
-    report = registry_runs(check.exp_id).report
-    assert check.evaluate(report) in (True, False)
+# ----------------------------------------------------------------------
+# Every claim on the real test-scale reports
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", CLAIMS)
+def test_predicates_do_not_crash_on_real_reports(name, registry_runs):
+    """Every claim scores a finite margin on real data."""
+    exp_id, claim = CLAIMS[name]
+    margin = claim.margin(registry_runs(exp_id).report)
+    assert isinstance(margin, float) and math.isfinite(margin)
+
+
+def test_test_scale_verdicts_are_pinned(registry_runs):
+    """Exactly the claims calibrated beyond test scale fail there; a
+    wrongly converted margin flips one of the others."""
+    failing = {name for name, (exp_id, claim) in CLAIMS.items()
+               if not claim.margin(registry_runs(exp_id).report) > 0}
+    assert failing == FAILING_AT_TEST_SCALE
